@@ -18,6 +18,7 @@ func TestExtCacheShape(t *testing.T) {
 	if tbl.ID != "ext-cache" {
 		t.Fatalf("table ID = %q", tbl.ID)
 	}
+	checkGolden(t, "ext-cache", tbl)
 	// 3 tenants x 2 cache configs + 2 placement configs.
 	if got, want := len(tbl.Rows), 3*2+2; got != want {
 		t.Fatalf("rows = %d, want %d:\n%s", got, want, tbl.Format())

@@ -64,6 +64,11 @@ func TestRegistryRunsEverything(t *testing.T) {
 		"ext-sharding":  true, // wall-clock; has its own dedicated test
 		"ext-ctrlplane": true, // wall-clock; has its own dedicated test
 	}
+	// Wall-clock experiments drive real servers, so their tables vary run
+	// to run; every other table is seeded simulator output and is pinned.
+	wallClock := map[string]bool{
+		"ext-failover": true, "ext-sharding": true, "ext-ctrlplane": true, "ext-volume": true,
+	}
 	for _, id := range IDs() {
 		if skipHeavy[id] {
 			continue
@@ -74,6 +79,9 @@ func TestRegistryRunsEverything(t *testing.T) {
 		}
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s produced no rows", id)
+		}
+		if !wallClock[id] {
+			checkGolden(t, id, tbl)
 		}
 	}
 	if _, err := Run("nope", 1); err == nil {
@@ -86,6 +94,7 @@ func TestFig1Shape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig1(quick)
+	checkGolden(t, "fig1", tbl)
 	// For each ratio, p95 at the lightest load must be far below p95 at
 	// the heaviest measured load, and write-heavier mixes must give up at
 	// lower IOPS.
@@ -118,6 +127,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Table2(quick)
+	checkGolden(t, "tab2", tbl)
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("Table 2 has %d rows, want 6", len(tbl.Rows))
 	}
@@ -160,6 +170,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig5(0.4)
+	checkGolden(t, "fig5", tbl)
 	get := func(scenario, sched, tenant, col string) float64 {
 		cell, ok := tbl.Cell(col, func(r []string) bool {
 			return r[0] == scenario && r[1] == sched && r[2] == tenant
@@ -206,6 +217,7 @@ func TestFig6aShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig6a(quick, 4)
+	checkGolden(t, "fig6a", tbl)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -239,6 +251,7 @@ func TestFig6bShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig6b(quick, []int{500, 2500, 3500})
+	checkGolden(t, "fig6b", tbl)
 	get := func(cores, tenants int) float64 {
 		cell, ok := tbl.Cell("achieved_IOPS", func(r []string) bool {
 			return r[0] == strconv.Itoa(cores) && r[1] == strconv.Itoa(tenants)
@@ -268,6 +281,7 @@ func TestFig6cShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig6c(quick)
+	checkGolden(t, "fig6c", tbl)
 	get := func(perConn, conns int) float64 {
 		cell, ok := tbl.Cell("achieved_IOPS", func(r []string) bool {
 			return r[0] == strconv.Itoa(perConn) && r[1] == strconv.Itoa(conns)
@@ -297,6 +311,7 @@ func TestFig7bShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig7b(quick)
+	checkGolden(t, "fig7b", tbl)
 	slow := func(algo, backend string) float64 {
 		cell, ok := tbl.Cell("slowdown", func(r []string) bool {
 			return r[0] == algo && r[1] == backend
@@ -349,6 +364,7 @@ func TestFig7cShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig7c(quick)
+	checkGolden(t, "fig7c", tbl)
 	slow := func(bench, backend string) float64 {
 		cell, ok := tbl.Cell("slowdown", func(r []string) bool {
 			return r[0] == bench && r[1] == backend
@@ -382,6 +398,7 @@ func TestAblationTwoStepShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := AblationTwoStep(quick)
+	checkGolden(t, "ablation-twostep", tbl)
 	get := func(model, offered string) float64 {
 		cell, ok := tbl.Cell("achieved_IOPS", func(r []string) bool {
 			return r[0] == model && r[1] == offered
@@ -414,6 +431,7 @@ func TestExtRightsizingShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := ExtRightsizing(quick)
+	checkGolden(t, "ext-rightsizing", tbl)
 	get := func(phase, col string) string {
 		cell, ok := tbl.Cell(col, func(r []string) bool { return r[0] == phase })
 		if !ok {
@@ -448,6 +466,7 @@ func TestFig3Shape(t *testing.T) {
 	// The defining property of Figure 3: measured in weighted tokens/s,
 	// every mix and size saturates at (roughly) the same knee.
 	tbl := Fig3("deviceA", quick)
+	checkGolden(t, "fig3a", tbl)
 	lastTokens := map[string]float64{}
 	for _, row := range tbl.Rows {
 		v, err := strconv.ParseFloat(row[2], 64)
@@ -486,6 +505,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig4(quick)
+	checkGolden(t, "fig4", tbl)
 	best := map[string]float64{}   // highest achieved IOPS with p95 <= 1ms
 	lowLat := map[string]float64{} // p95 at the lightest load
 	for _, row := range tbl.Rows {
@@ -531,6 +551,7 @@ func TestFig7aShape(t *testing.T) {
 		t.Skip("long")
 	}
 	tbl := Fig7a(quick)
+	checkGolden(t, "fig7a", tbl)
 	maxMBps := map[string]float64{}
 	minP95 := map[string]float64{}
 	for _, row := range tbl.Rows {

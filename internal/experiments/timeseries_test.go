@@ -56,7 +56,9 @@ func TestFig6aSeriesShape(t *testing.T) {
 	}
 
 	// Table conversion and CSV round-trip.
-	tbl := SeriesTable("fig6a-series", "test", s)
+	tbl := SeriesTable("fig6a-series",
+		"Fig. 6a time series: per-tenant p95 vs SLO, IOPS, token usage, queues", s)
+	checkGolden(t, "fig6a-series", tbl)
 	var b strings.Builder
 	if err := tbl.WriteCSV(&b); err != nil {
 		t.Fatal(err)
