@@ -72,7 +72,7 @@ func runChaos(cfg chaosConfig) int {
 	opts := client.Options{
 		Timeout:   cfg.timeout,
 		Reconnect: true,
-		Dialer:    faults.Dialer("tcp", cfg.addr, inj),
+		Dialer:    faults.Dialer("tcp", inj),
 	}
 
 	// Admin connection: preload the span so reads return data. Its dialer
@@ -135,7 +135,7 @@ func runChaos(cfg chaosConfig) int {
 	var t tally
 	var reconnects, replays atomic.Uint64
 	stop := make(chan struct{})
-	var wg sync.WaitGroup      // load + probe goroutines
+	var wg sync.WaitGroup       // load + probe goroutines
 	var inflight sync.WaitGroup // one unit per issued async call
 
 	// Load connections: open-loop over faulted, reconnecting clients. Each

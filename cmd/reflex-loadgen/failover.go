@@ -33,7 +33,7 @@ type pairMember struct {
 func startMember(name string, backend storage.Backend, epoch uint16, backup bool) (*pairMember, error) {
 	srv, err := server.New(server.Config{
 		Addr:       "127.0.0.1:0",
-		Threads:    1,
+		Cores:      1,
 		Epoch:      epoch,
 		BackupRole: backup,
 		Model: core.CostModel{

@@ -95,9 +95,7 @@ func main() {
 	udpAddr := flag.String("udp", "", "optional UDP listen address (e.g. :7701)")
 	size := flag.String("size", "256MiB", "device size (e.g. 64MiB, 1GiB)")
 	file := flag.String("file", "", "optional backing file (default: in-memory)")
-	cores := flag.Int("cores", 0, "shared-nothing event-loop cores (0 = use -threads)")
-	threads := flag.Int("threads", 2, "deprecated alias of -cores")
-	busyPoll := flag.Duration("busy-poll", 0, "spin each core this long before parking (lower wakeup latency, higher CPU; 0 = park immediately)")
+	cores := flag.Int("cores", 2, "shared-nothing event-loop cores")
 	tokenRate := flag.Int64("token-rate", 420_000, "token rate (tokens/s) at the strictest SLO")
 	writeCost := flag.Int64("write-cost", 10, "write cost in tokens (device calibration)")
 	readLat := flag.Duration("read-latency", 0, "simulated device read latency (demos)")
@@ -154,8 +152,6 @@ func main() {
 		Addr:       *addr,
 		UDPAddr:    *udpAddr,
 		Cores:      *cores,
-		Threads:    *threads,
-		BusyPoll:   *busyPoll,
 		Epoch:      uint16(*epoch),
 		BackupRole: *backupOf != "",
 		NodeName:   *nodeName,

@@ -16,12 +16,12 @@ import (
 )
 
 func main() {
-	// 1. Start a ReFlex server: 64 MiB in-memory "flash", 2 scheduler
-	//    threads, device-A cost model, 420K tokens/s (the rate a 500us
+	// 1. Start a ReFlex server: 64 MiB in-memory "flash", 2 per-core
+	//    event loops, device-A cost model, 420K tokens/s (the rate a 500us
 	//    p95 SLO allows on that device).
 	srv, err := server.New(server.Config{
-		Addr:    "127.0.0.1:0",
-		Threads: 2,
+		Addr:  "127.0.0.1:0",
+		Cores: 2,
 		Model: core.CostModel{
 			ReadCost:         core.TokenUnit,
 			ReadOnlyReadCost: core.TokenUnit / 2,

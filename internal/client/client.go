@@ -301,16 +301,11 @@ type Options struct {
 	// dial attempts (defaults 10ms and 1s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Dialer optionally replaces net.Dial — chaos harnesses wrap the
-	// returned conn with fault injection. It always dials the client's
-	// original address; cluster clients that fail over between replicas
-	// should use DialerFor instead.
-	Dialer func() (net.Conn, error)
-	// DialerFor optionally replaces net.Dial per target address, so a
-	// failover to another replica dials the right place (and chaos
-	// harnesses can wrap every replica connection). Takes precedence over
-	// Dialer.
-	DialerFor func(addr string) (net.Conn, error)
+	// Dialer optionally replaces net.Dial. It receives the address being
+	// dialed, so a failover to another replica — and a hedged read's
+	// backup connection — dials the right place, and chaos harnesses can
+	// wrap every connection the client opens with fault injection.
+	Dialer func(addr string) (net.Conn, error)
 
 	// Checksum enables end-to-end payload integrity: write payloads are
 	// sealed with a CRC32C trailer (verified server-side before touching
@@ -459,16 +454,11 @@ func (cl *Client) rotateTarget() {
 // client at call time (not captured at construction), so a failover that
 // swaps cl.tIdx redirects every subsequent reconnect attempt.
 func (cl *Client) dialTCP(addr string) (transport, error) {
-	var c net.Conn
-	var err error
-	switch {
-	case cl.opts.DialerFor != nil:
-		c, err = cl.opts.DialerFor(addr)
-	case cl.opts.Dialer != nil:
-		c, err = cl.opts.Dialer()
-	default:
-		c, err = net.Dial("tcp", addr)
+	dial := cl.opts.Dialer
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
+	c, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -966,19 +956,15 @@ func (cl *Client) mapHandle(h uint16) uint16 {
 
 // send registers the call and writes the request.
 func (cl *Client) send(hdr *protocol.Header, payload []byte) (*Call, error) {
-	return cl.sendLease(hdr, payload, nil)
+	return cl.sendCall(hdr, payload, nil, 0)
 }
 
-// sendLease is send with a pooled payload lease attached to the call
-// (checksum-sealed write frames). Ownership of the lease transfers to the
-// call on success and is released here on every early-error path.
-func (cl *Client) sendLease(hdr *protocol.Header, payload []byte, lease *bufpool.Buf) (*Call, error) {
-	return cl.sendCall(hdr, payload, lease, 0)
-}
-
-// sendCall is sendLease for a traced request: trace (non-zero) is
-// recorded on the call BEFORE it enters the pending map, so the read
-// loop's deliver can never observe a half-initialized call.
+// sendCall is send with a pooled payload lease attached to the call
+// (sealed write frames) and a trace id. Ownership of the lease transfers
+// to the call on success and is released here on every early-error path.
+// A non-zero trace is recorded on the call BEFORE it enters the pending
+// map, so the read loop's deliver can never observe a half-initialized
+// call.
 func (cl *Client) sendCall(hdr *protocol.Header, payload []byte, lease *bufpool.Buf, trace uint64) (*Call, error) {
 	call := &Call{Done: make(chan struct{}), payload: payload, lease: lease, staleLeft: 2,
 		TraceID: trace, startNS: cl.now()}
@@ -1110,68 +1096,11 @@ func (cl *Client) GoRead(handle uint16, lba uint32, n int) (*Call, error) {
 
 // GoWrite starts an asynchronous write of data at lba (512-byte units).
 func (cl *Client) GoWrite(handle uint16, lba uint32, data []byte) (*Call, error) {
-	return cl.goWriteFlags(handle, lba, data, 0)
-}
-
-// GoWriteHinted starts an asynchronous write carrying an FDP-style data
-// lifetime hint (protocol.HintShort or protocol.HintLong). The hint is
-// advisory: placement-aware servers segregate hinted writes into
-// separate streams/erase units to cut write amplification; others count
-// and ignore it. Traced clients drop the hint (the trace trailer owns
-// that path today).
-func (cl *Client) GoWriteHinted(handle uint16, lba uint32, data []byte, hint int) (*Call, error) {
-	var flags uint16
-	switch hint {
-	case protocol.HintShort:
-		flags = protocol.FlagHintShort
-	case protocol.HintLong:
-		flags = protocol.FlagHintLong
-	}
-	return cl.goWriteFlags(handle, lba, data, flags)
-}
-
-// WriteHinted is the synchronous form of GoWriteHinted.
-func (cl *Client) WriteHinted(handle uint16, lba uint32, data []byte, hint int) error {
-	call, err := cl.GoWriteHinted(handle, lba, data, hint)
-	if err != nil {
-		return err
-	}
-	return cl.wait(call)
-}
-
-func (cl *Client) goWriteFlags(handle uint16, lba uint32, data []byte, flags uint16) (*Call, error) {
+	var trace uint64
 	if cl.opts.Trace {
-		trace := cl.nextTrace()
-		return cl.goWriteTraced(handle, lba, data, trace, trace)
+		trace = cl.nextTrace()
 	}
-	max := protocol.MaxPayload
-	if cl.opts.Checksum {
-		max -= protocol.ChecksumSize
-	}
-	if len(data) == 0 || len(data) > max {
-		return nil, ErrBadRequest
-	}
-	hdr := &protocol.Header{
-		Opcode: protocol.OpWrite,
-		Handle: handle,
-		LBA:    lba,
-		Count:  uint32(len(data)),
-		Flags:  flags,
-	}
-	payload := data
-	var lease *bufpool.Buf
-	if cl.opts.Checksum {
-		hdr.Flags |= protocol.FlagChecksum
-		// Seal into a pooled frame: one copy into a lease with trailer
-		// slack, CRC appended in place. The lease lives until the call
-		// completes — the sealed payload may be replayed across
-		// reconnects and failovers.
-		lease = bufpool.Get(len(data) + protocol.ChecksumSize)
-		buf := lease.Bytes()[:len(data)]
-		copy(buf, data)
-		payload = protocol.AppendChecksum(buf)
-	}
-	return cl.sendLease(hdr, payload, lease)
+	return cl.goWrite(handle, lba, data, trace, trace)
 }
 
 // GoWriteTraced starts an asynchronous write carrying an explicit trace
@@ -1183,15 +1112,21 @@ func (cl *Client) GoWriteTraced(handle uint16, lba uint32, data []byte, trace, p
 	if trace == 0 {
 		return cl.GoWrite(handle, lba, data)
 	}
-	return cl.goWriteTraced(handle, lba, data, trace, parent)
+	return cl.goWrite(handle, lba, data, trace, parent)
 }
 
-func (cl *Client) goWriteTraced(handle uint16, lba uint32, data []byte, trace, parent uint64) (*Call, error) {
-	max := protocol.MaxPayload - protocol.TraceSize
+// goWrite frames and sends one write; trace == 0 sends it untraced. An
+// untraced write without a checksum sends the caller's slice as is: no
+// copy, no lease.
+func (cl *Client) goWrite(handle uint16, lba uint32, data []byte, trace, parent uint64) (*Call, error) {
+	frame := len(data)
 	if cl.opts.Checksum {
-		max -= protocol.ChecksumSize
+		frame += protocol.ChecksumSize
 	}
-	if len(data) == 0 || len(data) > max {
+	if trace != 0 {
+		frame += protocol.TraceSize
+	}
+	if len(data) == 0 || frame > protocol.MaxPayload {
 		return nil, ErrBadRequest
 	}
 	hdr := &protocol.Header{
@@ -1199,20 +1134,27 @@ func (cl *Client) goWriteTraced(handle uint16, lba uint32, data []byte, trace, p
 		Handle: handle,
 		LBA:    lba,
 		Count:  uint32(len(data)),
-		Flags:  protocol.FlagTraced,
 	}
-	// Seal data [+ CRC] + trace trailer into one pooled frame. Layering
-	// matters: the server strips the trace trailer before verifying the
-	// checksum, so the CRC goes on first (over data only).
-	lease := bufpool.Get(len(data) + protocol.ChecksumSize + protocol.TraceSize)
+	if frame == len(data) {
+		return cl.sendCall(hdr, data, nil, 0)
+	}
+	// Seal data [+ CRC] [+ trace trailer] into one pooled frame. The lease
+	// lives until the call completes — the sealed payload may be replayed
+	// across reconnects and failovers. Layering matters: the server strips
+	// the trace trailer before verifying the checksum, so the CRC goes on
+	// first (over data only).
+	lease := bufpool.Get(frame)
 	buf := lease.Bytes()[:len(data)]
 	copy(buf, data)
 	if cl.opts.Checksum {
 		hdr.Flags |= protocol.FlagChecksum
 		buf = protocol.AppendChecksum(buf)
 	}
-	payload := protocol.AppendTrace(buf, trace, parent)
-	return cl.sendCall(hdr, payload, lease, trace)
+	if trace != 0 {
+		hdr.Flags |= protocol.FlagTraced
+		buf = protocol.AppendTrace(buf, trace, parent)
+	}
+	return cl.sendCall(hdr, buf, lease, trace)
 }
 
 // WriteTraced is the synchronous form of GoWriteTraced.

@@ -311,9 +311,9 @@ func (h *hedger) backup(user uint16) (*Client, uint16, error) {
 				continue
 			}
 			sub, err = DialOptions(addr, Options{
-				Timeout:   cl.opts.Timeout,
-				DialerFor: cl.opts.DialerFor,
-				Checksum:  cl.opts.Checksum,
+				Timeout:  cl.opts.Timeout,
+				Dialer:   cl.opts.Dialer,
+				Checksum: cl.opts.Checksum,
 			})
 			if err == nil {
 				h.sub = sub

@@ -151,6 +151,24 @@ func (s *Scheduler) Pending() int {
 	return n
 }
 
+// Debt returns the sum of the tenants' negative token balances: the
+// aggregate overload indicator load shedding watches (a growing debt
+// means admission is outrunning the token supply).
+func (s *Scheduler) Debt() Tokens {
+	var d Tokens
+	for _, t := range s.lc {
+		if t.tokens < 0 {
+			d -= t.tokens
+		}
+	}
+	for _, t := range s.be {
+		if t.tokens < 0 {
+			d -= t.tokens
+		}
+	}
+	return d
+}
+
 // Schedule runs one round of Algorithm 1 at the given time (nanoseconds),
 // submitting every admissible request via submit. It returns the number of
 // requests submitted.

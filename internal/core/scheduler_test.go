@@ -539,6 +539,39 @@ func TestSchedulerCounters(t *testing.T) {
 	}
 }
 
+func TestSchedulerDebt(t *testing.T) {
+	cases := []struct {
+		name   string
+		lc, be []Tokens // tenant balances
+		want   Tokens
+	}{
+		{"no tenants", nil, nil, 0},
+		{"all in credit", []Tokens{5, 0}, []Tokens{7}, 0},
+		{"lc debt only", []Tokens{-4, 9}, []Tokens{3}, 4},
+		{"be debt only", nil, []Tokens{-2, -3, 1}, 5},
+		{"both classes", []Tokens{-10}, []Tokens{-6, 20}, 16},
+	}
+	for _, tc := range cases {
+		s := NewScheduler(modelA(), 0, NewSharedState(1, 1000*TokenUnit))
+		id := 1
+		for _, b := range tc.lc {
+			tn := newLC(t, id, 100, 100)
+			tn.tokens = b
+			s.Register(tn)
+			id++
+		}
+		for _, b := range tc.be {
+			tn := newBE(t, id)
+			tn.tokens = b
+			s.Register(tn)
+			id++
+		}
+		if got := s.Debt(); got != tc.want {
+			t.Errorf("%s: Debt() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // detRand is a tiny deterministic generator so scheduler tests do not
 // depend on math/rand ordering.
 type detRand struct{ state uint64 }

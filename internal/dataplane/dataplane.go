@@ -390,9 +390,3 @@ func (s *Server) Stats() Stats {
 	}
 	return st
 }
-
-// ShedActive reports whether the graceful-overload signal is currently
-// refusing best-effort work.
-func (s *Server) ShedActive() bool {
-	return s.shedder != nil && s.shedder.Active()
-}

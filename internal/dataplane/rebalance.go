@@ -57,59 +57,6 @@ func (s *Server) connsOf(t *core.Tenant) int {
 	return n
 }
 
-// Rebalance spreads tenants evenly across threads by registered count,
-// moving as few tenants as possible. It returns the number of moves.
-func (s *Server) Rebalance() int {
-	type slot struct {
-		thread  int
-		tenants []*core.Tenant
-	}
-	slots := make([]slot, len(s.threads))
-	for i := range slots {
-		slots[i].thread = i
-	}
-	for t, th := range s.tenantAt {
-		slots[th].tenants = append(slots[th].tenants, t)
-	}
-	for i := range slots {
-		// Deterministic order for reproducible simulations.
-		sort.Slice(slots[i].tenants, func(a, b int) bool {
-			return slots[i].tenants[a].ID < slots[i].tenants[b].ID
-		})
-	}
-
-	total := len(s.tenantAt)
-	base := total / len(s.threads)
-	extra := total % len(s.threads)
-	quota := func(i int) int {
-		if i < extra {
-			return base + 1
-		}
-		return base
-	}
-
-	// Collect overflow from loaded threads, then fill underloaded ones.
-	var overflow []*core.Tenant
-	for i := range slots {
-		for len(slots[i].tenants) > quota(i) {
-			last := slots[i].tenants[len(slots[i].tenants)-1]
-			slots[i].tenants = slots[i].tenants[:len(slots[i].tenants)-1]
-			overflow = append(overflow, last)
-		}
-	}
-	moves := 0
-	for i := range slots {
-		for len(slots[i].tenants) < quota(i) && len(overflow) > 0 {
-			t := overflow[len(overflow)-1]
-			overflow = overflow[:len(overflow)-1]
-			slots[i].tenants = append(slots[i].tenants, t)
-			s.MoveTenant(t, i)
-			moves++
-		}
-	}
-	return moves
-}
-
 // ThreadLoads returns per-thread core utilization, for control-plane
 // scaling decisions (ctrl.ThreadScaler).
 func (s *Server) ThreadLoads() []float64 {

@@ -101,60 +101,3 @@ func TestMoveTenantNoOpAndValidation(t *testing.T) {
 	})
 	r.eng.Run()
 }
-
-func TestRebalanceEvensLoad(t *testing.T) {
-	// All tenants start on thread 0 (the degenerate placement after a
-	// thread-count change); Rebalance spreads them and throughput of an
-	// overloaded server improves.
-	run := func(rebalance bool) float64 {
-		r := newRig(t, 4, 4_000_000*core.TokenUnit)
-		var results []*workload.Result
-		for i := 0; i < 8; i++ {
-			tn := beTenant(t, i+1)
-			r.srv.RegisterTenantOn(tn, 0) // everything piled on thread 0
-			conn := r.srv.Connect(r.client(t, netsim.IXClientStack(), int64(i)), tn)
-			// 512B reads keep the 10GbE TX link out of the picture so the
-			// comparison isolates CPU placement.
-			results = append(results, workload.OpenLoop{
-				IOPS: 200_000, Mix: workload.Mix{ReadPercent: 100, Size: 512, Blocks: 1 << 20},
-				Warmup: 20 * sim.Millisecond, Duration: 150 * sim.Millisecond, Seed: int64(i),
-			}.Start(r.eng, conn))
-		}
-		if rebalance {
-			r.eng.At(5*sim.Millisecond, func() {
-				if moves := r.srv.Rebalance(); moves != 6 {
-					t.Errorf("Rebalance moved %d tenants, want 6 (8 over 4 threads)", moves)
-				}
-			})
-		}
-		r.eng.RunUntil(200 * sim.Millisecond)
-		var total float64
-		for _, res := range results {
-			total += res.IOPS()
-		}
-		return total
-	}
-	piled := run(false)
-	balanced := run(true)
-	// One thread caps near 850K; four threads take the offered 1.6M to
-	// the device's ~1.2M read-only ceiling.
-	if piled > 1_000_000 {
-		t.Fatalf("piled-up placement delivered %.0f; expected single-core ceiling", piled)
-	}
-	if balanced < 1.3*piled {
-		t.Fatalf("rebalance did not relieve the hot thread: %.0f vs %.0f", balanced, piled)
-	}
-}
-
-func TestRebalanceAlreadyBalanced(t *testing.T) {
-	r := newRig(t, 2, 600_000*core.TokenUnit)
-	for i := 0; i < 4; i++ {
-		r.srv.RegisterTenant(beTenant(t, i+1)) // auto-balanced 2/2
-	}
-	r.eng.At(0, func() {
-		if moves := r.srv.Rebalance(); moves != 0 {
-			t.Errorf("balanced server moved %d tenants", moves)
-		}
-	})
-	r.eng.Run()
-}

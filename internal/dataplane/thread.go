@@ -60,25 +60,6 @@ type thread struct {
 	shed     uint64
 }
 
-// debt sums the thread's tenants' negative token balances — the overload
-// indicator the shedder watches (a growing aggregate debt means admission
-// is outrunning token generation).
-func (th *thread) debt() core.Tokens {
-	var d core.Tokens
-	lc, be := th.sched.Tenants()
-	for _, t := range lc {
-		if b := t.Tokens(); b < 0 {
-			d -= b
-		}
-	}
-	for _, t := range be {
-		if b := t.Tokens(); b < 0 {
-			d -= b
-		}
-	}
-	return d
-}
-
 // cpuFactor inflates per-request CPU cost with connection count, modeling
 // TCP state falling out of the last-level cache (Fig. 6c).
 func (th *thread) cpuFactor() float64 {
@@ -134,7 +115,7 @@ func (th *thread) pass() {
 	// Feed the graceful-overload signal once per pass (hysteresis lives in
 	// the shedder, so per-pass sampling cannot flap it).
 	if sh := th.srv.shedder; sh != nil {
-		sh.Observe(th.sched.Pending()+len(th.rxQ), th.conns, th.debt())
+		sh.Observe(th.sched.Pending()+len(th.rxQ), th.conns, th.sched.Debt())
 	}
 
 	// Step 1: network receive -> tenant queues.

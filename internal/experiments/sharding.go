@@ -108,7 +108,7 @@ func runShardingPhase(n int, dur time.Duration, withMove bool) shardPhase {
 		name := fmt.Sprintf("node%d", i)
 		srv, err := server.New(server.Config{
 			Addr:     "127.0.0.1:0",
-			Threads:  1,
+			Cores:    1,
 			NodeName: name,
 			Model: core.CostModel{
 				ReadCost:         core.TokenUnit,

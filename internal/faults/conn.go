@@ -187,8 +187,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 
 // Dialer returns a dial function that wraps every dialed connection, for
 // clients that take a pluggable dialer.
-func Dialer(network, addr string, in *Injector) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
+func Dialer(network string, in *Injector) func(addr string) (net.Conn, error) {
+	return func(addr string) (net.Conn, error) {
 		c, err := net.Dial(network, addr)
 		if err != nil {
 			return nil, err

@@ -486,10 +486,6 @@ func (d *Device) BusyChannels() int {
 // Channels returns the number of channels.
 func (d *Device) Channels() int { return len(d.channels) }
 
-// PendingProgram returns the background program backlog in nanoseconds of
-// channel occupancy, summed across channels (the write-buffer pressure).
-func (d *Device) PendingProgram() sim.Time { return d.pendingProg }
-
 // MaxChannelBacklog returns the largest per-channel booking horizon — how
 // far ahead of the clock the busiest channel is committed.
 func (d *Device) MaxChannelBacklog() sim.Time {

@@ -129,13 +129,6 @@ func NewFleet(nodes []FleetNode) *Fleet {
 	}
 }
 
-// SetNodes replaces the scrape target set (membership changes).
-func (f *Fleet) SetNodes(nodes []FleetNode) {
-	f.mu.Lock()
-	f.nodes = append([]FleetNode(nil), nodes...)
-	f.mu.Unlock()
-}
-
 // metricKey builds the identity of one metric instance within a dump.
 func metricKey(m *SnapshotMetric) string {
 	if len(m.Labels) == 0 {

@@ -54,7 +54,7 @@ func TestChaosSoak(t *testing.T) {
 			MaxAttempts: 4,
 			BackoffBase: 5 * time.Millisecond,
 			BackoffMax:  50 * time.Millisecond,
-			Dialer:      faults.Dialer("tcp", srv.Addr(), faults.New(faults.Chaos(seed))),
+			Dialer:      faults.Dialer("tcp", faults.New(faults.Chaos(seed))),
 		}
 	}
 	for w := 0; w < 4; w++ {

@@ -30,7 +30,7 @@ func startPair(t *testing.T, mutateA func(*Config)) *pair {
 	mk := func(epoch uint16, backup bool, mutate func(*Config)) *Server {
 		cfg := Config{
 			Addr:       "127.0.0.1:0",
-			Threads:    2,
+			Cores:      2,
 			Epoch:      epoch,
 			BackupRole: backup,
 			Model:      modelA(),
@@ -464,10 +464,20 @@ func TestClusterClientFailsOverOnPrimaryDeath(t *testing.T) {
 func TestHedgedReadWinsDuringStall(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 4, DeviceStallProb: 1, DeviceStallDur: 300 * time.Millisecond})
 	p := startPair(t, func(c *Config) { c.Faults = inj })
+	// Every connection the client opens, the hedge's backup connection
+	// included, must go through the caller's dialer.
+	var dmu sync.Mutex
+	dialed := map[string]int{}
 	cl := p.dialCluster(t, client.Options{
 		Timeout:       5 * time.Second,
 		HedgeReads:    true,
 		HedgeMaxDelay: 20 * time.Millisecond,
+		Dialer: func(addr string) (net.Conn, error) {
+			dmu.Lock()
+			dialed[addr]++
+			dmu.Unlock()
+			return net.Dial("tcp", addr)
+		},
 	})
 	h, err := cl.Register(beWritable())
 	if err != nil {
@@ -489,6 +499,12 @@ func TestHedgedReadWinsDuringStall(t *testing.T) {
 	}
 	if cl.HedgesWon() == 0 {
 		t.Fatalf("no hedge wins (issued %d)", cl.HedgesIssued())
+	}
+	dmu.Lock()
+	defer dmu.Unlock()
+	if dialed[p.b.Addr()] == 0 {
+		t.Fatalf("hedge connection to the backup %s bypassed the caller's dialer (dialed %v)",
+			p.b.Addr(), dialed)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // heavily throttled one.
 func startMultiServer(t *testing.T) (*Server, *client.Client) {
 	t.Helper()
-	srv, err := NewMulti(Config{Addr: "127.0.0.1:0", Threads: 2}, []DeviceConfig{
+	srv, err := NewMulti(Config{Addr: "127.0.0.1:0", Cores: 2}, []DeviceConfig{
 		{
 			Backend:   storage.NewMem(32 << 20),
 			Model:     modelA(),
@@ -153,20 +153,20 @@ func TestMultiDeviceIndependentThrottling(t *testing.T) {
 }
 
 func TestMultiDeviceValidation(t *testing.T) {
-	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Threads: 1}, nil); err == nil {
+	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Cores: 1}, nil); err == nil {
 		t.Error("zero devices accepted")
 	}
-	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Threads: 1}, []DeviceConfig{
+	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Cores: 1}, []DeviceConfig{
 		{Backend: nil, Model: modelA(), TokenRate: 1},
 	}); err == nil {
 		t.Error("nil backend accepted")
 	}
-	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Threads: 1}, []DeviceConfig{
+	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Cores: 1}, []DeviceConfig{
 		{Backend: storage.NewMem(1024), Model: modelA(), TokenRate: 0},
 	}); err == nil {
 		t.Error("zero token rate accepted")
 	}
-	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Threads: 1}, []DeviceConfig{
+	if _, err := NewMulti(Config{Addr: "127.0.0.1:0", Cores: 1}, []DeviceConfig{
 		{Backend: storage.NewMem(1024), TokenRate: 1},
 	}); err == nil {
 		t.Error("invalid model accepted")

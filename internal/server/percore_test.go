@@ -287,7 +287,6 @@ func TestShedQueueHighDerivesFromRingSize(t *testing.T) {
 func TestCorePinnedChurn(t *testing.T) {
 	srv, _ := startServer(t, func(c *Config) {
 		c.Cores = 4
-		c.Threads = 0
 	})
 	if srv.Cores() != 4 {
 		t.Fatalf("Cores() = %d, want 4", srv.Cores())

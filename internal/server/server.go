@@ -74,19 +74,10 @@ type Config struct {
 	// Each core owns a request ring, one scheduler per device, and the
 	// batched response flusher for the connections pinned to it.
 	Cores int
-	// Threads is the deprecated alias of Cores (pre-§15 naming); it is
-	// used when Cores is zero.
-	Threads int
 	// RingSize is the per-core request ring capacity (default 4096). The
 	// default shed high watermark derives from it, so resizing the ring
 	// moves the backpressure-to-refusal crossover with it.
 	RingSize int
-	// BusyPoll spins each core's scheduler and flusher loops for this
-	// long before parking, trading CPU for wakeup latency like the
-	// paper's polling dataplane cores. 0 disables (park immediately).
-	BusyPoll time.Duration
-	// SchedInterval bounds the time between scheduling rounds.
-	SchedInterval time.Duration
 	// ReadLatency/WriteLatency optionally delay the device operation to
 	// emulate flash on fast in-memory backends (useful in examples,
 	// demos, and the barrier tests).
@@ -119,10 +110,8 @@ type Config struct {
 	// aggregate token debt or connection count crosses its limit, new
 	// best-effort I/O is refused with StatusOverloaded. Latency-critical
 	// tenants are never shed. Zero-valued fields pick defaults (queue
-	// high watermark at 3/4 of the per-core ring capacity); set
-	// ShedDisabled to turn shedding off entirely.
-	Shed         ctrl.ShedConfig
-	ShedDisabled bool
+	// high watermark at 3/4 of the per-core ring capacity).
+	Shed ctrl.ShedConfig
 
 	// CacheBytes enables the tiered DRAM read cache (internal/readcache,
 	// DESIGN.md §17) in front of every device: capacity in bytes, rounded
@@ -176,10 +165,12 @@ const (
 // Config.RingSize is zero.
 const DefaultRingSize = 4096
 
+// schedInterval bounds the time between scheduling rounds: a core with
+// queued requests but no arrivals still runs a round this often, so
+// token accrual releases them.
+const schedInterval = 200 * time.Microsecond
+
 func (c *Config) fill() error {
-	if c.Cores <= 0 {
-		c.Cores = c.Threads
-	}
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}
@@ -188,9 +179,6 @@ func (c *Config) fill() error {
 	}
 	if c.RingSize <= 0 {
 		c.RingSize = DefaultRingSize
-	}
-	if c.SchedInterval <= 0 {
-		c.SchedInterval = 200 * time.Microsecond
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = DefaultIdleTimeout
@@ -232,7 +220,7 @@ type Server struct {
 	// registry plus the per-request span trace ring.
 	m *metrics
 	// shed is the graceful load-shed signal consulted on every
-	// best-effort I/O; nil when shedding is disabled.
+	// best-effort I/O.
 	shed *ctrl.Shedder
 	// cache is the tiered DRAM read cache (nil when disabled). Probed at
 	// dispatch, filled on aligned 4KB read completions, invalidated by
@@ -401,9 +389,7 @@ func NewMulti(cfg Config, devices []DeviceConfig) (*Server, error) {
 		conns:     make(map[*srvConn]struct{}),
 		unregKick: make(chan struct{}, 1),
 		done:      make(chan struct{}),
-	}
-	if !cfg.ShedDisabled {
-		s.shed = ctrl.NewShedder(cfg.Shed)
+		shed:      ctrl.NewShedder(cfg.Shed),
 	}
 	s.epoch.Store(uint32(cfg.Epoch))
 	s.backupRole.Store(cfg.BackupRole)
@@ -660,7 +646,7 @@ func (s *Server) reaperLoop() {
 // (published by the cores after each round), and the live connection
 // count — all read through atomics; the shed decision takes no lock.
 func (s *Server) shedNow(ten *stenant) bool {
-	if s.shed == nil || ten.t.Class != core.BestEffort {
+	if ten.t.Class != core.BestEffort {
 		return false
 	}
 	var debt core.Tokens

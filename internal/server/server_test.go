@@ -26,7 +26,7 @@ func startServer(t *testing.T, mutate func(*Config)) (*Server, *client.Client) {
 	t.Helper()
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
-		Threads:   2,
+		Cores:     2,
 		Model:     modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit, // effectively unthrottled
 	}
@@ -411,7 +411,7 @@ func TestClientInputValidation(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := New(Config{Addr: "127.0.0.1:0", Threads: 100, Model: modelA(), TokenRate: 1}, storage.NewMem(1024)); err == nil {
+	if _, err := New(Config{Addr: "127.0.0.1:0", Cores: 100, Model: modelA(), TokenRate: 1}, storage.NewMem(1024)); err == nil {
 		t.Error("100 threads accepted")
 	}
 	if _, err := New(Config{Addr: "127.0.0.1:0", Model: modelA()}, storage.NewMem(1024)); err == nil {
@@ -524,7 +524,7 @@ func TestAbruptClientDisconnectWithInflight(t *testing.T) {
 func TestCloseDuringTraffic(t *testing.T) {
 	srv, err := New(Config{
 		Addr:      "127.0.0.1:0",
-		Threads:   2,
+		Cores:     2,
 		Model:     modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 	}, storage.NewMem(16<<20))
@@ -576,7 +576,7 @@ func (f failingBackend) Close() error { return nil }
 
 func TestBackendErrorsSurfaceAsDeviceError(t *testing.T) {
 	srv, err := New(Config{
-		Addr: "127.0.0.1:0", Threads: 1, Model: modelA(),
+		Addr: "127.0.0.1:0", Cores: 1, Model: modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 	}, failingBackend{size: 1 << 20})
 	if err != nil {

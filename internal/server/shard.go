@@ -168,8 +168,3 @@ func (s *Server) joinMigration(sc *srvConn, firstLBA, blockCount uint32) {
 	sc.rmu.Unlock()
 	s.m.migrJoins.Inc()
 }
-
-// MigrationPending returns the number of migration forwards awaiting a
-// sink ack — the coordinator's post-cutover drain signal (served over
-// OpPing in the response LBA).
-func (s *Server) MigrationPending() int { return s.migr.Pending() }

@@ -18,7 +18,7 @@ func startUDPServer(t *testing.T, mutate func(*Config)) (*Server, *client.Client
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
 		UDPAddr:   "127.0.0.1:0",
-		Threads:   2,
+		Cores:     2,
 		Model:     modelA(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 	}

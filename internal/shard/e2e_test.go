@@ -34,7 +34,7 @@ func startSolo(t *testing.T, name string) *server.Server {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		Addr:      "127.0.0.1:0",
-		Threads:   2,
+		Cores:     2,
 		Model:     costModel(),
 		TokenRate: 1_000_000 * core.TokenUnit,
 		NodeName:  name,

@@ -194,13 +194,6 @@ func (v *Volume) Gen() uint64 {
 	return v.gen
 }
 
-// Dead reports whether the volume has been deleted.
-func (v *Volume) Dead() bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.dead
-}
-
 // extBytes is the extent size in bytes.
 func (v *Volume) extBytes() int64 {
 	return int64(v.mgr.extBlocks) * protocol.BlockSize

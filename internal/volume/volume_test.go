@@ -422,136 +422,6 @@ func TestTranslate(t *testing.T) {
 	}
 }
 
-func TestImageRoundtrip(t *testing.T) {
-	m := testMgr(t, 64)
-	v, _ := m.Create("vol-a", 2048)
-	eb := int64(16 * 512)
-	if err := v.WriteAt(pat(1, int(2*eb)), 0); err != nil {
-		t.Fatal(err)
-	}
-	g1, _ := m.Snapshot("vol-a")
-	if err := v.WriteAt(pat(2, int(eb)), 0); err != nil {
-		t.Fatal(err)
-	}
-	v.Trim(3*eb, eb) // no-op trim keeps codec honest about empty state
-	img := v.Export()
-	b := img.Marshal()
-	got, err := UnmarshalImage(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != img.Name || got.Gen != img.Gen || got.Blocks != img.Blocks ||
-		len(got.Layers) != len(img.Layers) || len(got.Snaps) != 1 || got.Snaps[0] != g1 {
-		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, img)
-	}
-	for i := range img.Layers {
-		if img.Layers[i].Gen != got.Layers[i].Gen || len(img.Layers[i].Ents) != len(got.Layers[i].Ents) {
-			t.Fatalf("layer %d mismatch", i)
-		}
-		for j := range img.Layers[i].Ents {
-			if img.Layers[i].Ents[j] != got.Layers[i].Ents[j] {
-				t.Fatalf("layer %d ent %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestImageStrictUnmarshal(t *testing.T) {
-	m := testMgr(t, 64)
-	v, _ := m.Create("vol-a", 2048)
-	if err := v.WriteAt(pat(1, 8192), 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Snapshot("vol-a")
-	good := v.Export().Marshal()
-	cases := []struct {
-		name string
-		mut  func([]byte) []byte
-	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"bad version", func(b []byte) []byte { b[5] = 99; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"trailing", func(b []byte) []byte { return append(b, 0) }},
-		{"every prefix", nil},
-	}
-	for _, tc := range cases {
-		if tc.mut == nil {
-			for i := 0; i < len(good); i++ {
-				if _, err := UnmarshalImage(append([]byte{}, good[:i]...)); err == nil {
-					t.Fatalf("prefix of %d bytes decoded", i)
-				}
-			}
-			continue
-		}
-		b := tc.mut(append([]byte{}, good...))
-		if _, err := UnmarshalImage(b); err == nil {
-			t.Fatalf("%s: decoded", tc.name)
-		}
-	}
-}
-
-func TestImportRebuildsVolume(t *testing.T) {
-	m := testMgr(t, 64)
-	v, _ := m.Create("vol-a", 2048)
-	eb := int64(16 * 512)
-	if err := v.WriteAt(pat(1, int(2*eb)), 0); err != nil {
-		t.Fatal(err)
-	}
-	g1, _ := m.Snapshot("vol-a")
-	if err := v.WriteAt(pat(2, int(eb)), 0); err != nil {
-		t.Fatal(err)
-	}
-	img := v.Export()
-	want := make([]byte, 2*eb)
-	if err := v.ReadAt(want, 0); err != nil {
-		t.Fatal(err)
-	}
-	wantSnap := make([]byte, 2*eb)
-	if err := v.ReadAtGen(wantSnap, 0, g1); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the registration without releasing extents (a crash), then
-	// replay the journal image onto the same device.
-	m.mu.Lock()
-	delete(m.vols, "vol-a")
-	m.handles[v.handle] = nil
-	m.mu.Unlock()
-	alloc := m.Pool().Allocated()
-	m.Pool().mu.Lock()
-	// Crash lost the in-memory pool state: rebuild free list as if booting.
-	m.Pool().free = m.Pool().free[:0]
-	for i := int(m.Pool().total) - 1; i >= 0; i-- {
-		m.Pool().free = append(m.Pool().free, uint32(i))
-	}
-	m.Pool().allocated = 0
-	m.Pool().mu.Unlock()
-	_ = alloc
-
-	r, err := m.Import(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 2*eb)
-	if err := r.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("imported live image mismatch")
-	}
-	if err := r.ReadAtGen(got, 0, g1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantSnap) {
-		t.Fatal("imported snapshot image mismatch")
-	}
-	// The imported volume's extents are claimed: a second import of the
-	// same image must fail instead of double-owning extents.
-	if _, err := m.Import(img); err == nil {
-		t.Fatal("double import succeeded")
-	}
-}
-
 // TestVolumeSteadyStateAllocs is the package-level half of the pcore
 // zero-alloc acceptance: once an extent is live-owned, reads and in-place
 // overwrites allocate nothing.
