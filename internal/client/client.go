@@ -971,9 +971,17 @@ func (cl *Client) sendCall(hdr *protocol.Header, payload []byte, lease *bufpool.
 	hdr.Cookie = cl.cookie.Add(1)
 	call.hdr = *hdr
 
+	// wmu is held from the pending insert through the write, so a call
+	// and a reconnect (which holds wmu throughout) never interleave:
+	// either the call is pending before the reconnect and resume replays
+	// it under the new handle map and epoch, or it is stamped and sent
+	// after. A call stamped before a reconnect but written after it would
+	// carry a server handle from the dead connection.
+	cl.wmu.Lock()
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
+		cl.wmu.Unlock()
 		call.release()
 		return nil, ErrClosed
 	}
@@ -987,7 +995,6 @@ func (cl *Client) sendCall(hdr *protocol.Header, payload []byte, lease *bufpool.
 	w.Handle = cl.mapHandle(hdr.Handle)
 	w.Epoch = cl.Epoch()
 	cl.stampShardVersion(&w)
-	cl.wmu.Lock()
 	t := cl.t
 	var err error
 	switch tt := t.(type) {
