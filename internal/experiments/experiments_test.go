@@ -500,6 +500,16 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
+// TestFig3OtherDevicesGolden pins Figure 3 on devices B and C, which
+// TestRegistryRunsEverything skips as heavy.
+func TestFig3OtherDevicesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	checkGolden(t, "fig3b", Fig3("deviceB", quick))
+	checkGolden(t, "fig3c", Fig3("deviceC", quick))
+}
+
 func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
