@@ -1,8 +1,9 @@
-// Package hist provides a fixed-memory, log-bucketed latency histogram in
-// the spirit of HDR histograms. Recording is O(1) and allocation-free;
-// quantiles are approximate with a relative error bounded by the sub-bucket
-// resolution (<2% with the default 64 sub-buckets per power of two), which
-// is far below the run-to-run variance of the experiments that use it.
+// Package hist provides a bounded-memory, log-bucketed latency histogram in
+// the spirit of HDR histograms. Recording is O(1) and allocation-free once
+// the value's row exists; quantiles are approximate with a relative error
+// bounded by the sub-bucket resolution (<2% with the default 64
+// sub-buckets per power of two), which is far below the run-to-run
+// variance of the experiments that use it.
 //
 // All values are durations in nanoseconds, matching the sim package.
 package hist
@@ -21,12 +22,16 @@ const (
 )
 
 // Hist is a latency histogram. The zero value is ready to use.
+//
+// Buckets are stored as one row of subBuckets counters per power of two,
+// allocated the first time a value lands in that row, so a histogram that
+// records a few samples (a lightly loaded simulated tenant) stays small.
 type Hist struct {
-	counts [majors * subBuckets]uint32
-	count  uint64
-	sum    int64
-	min    int64
-	max    int64
+	rows  [majors]*[subBuckets]uint32
+	count uint64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 // New returns an empty histogram.
@@ -51,12 +56,39 @@ func bucketOf(v int64) int {
 	return idx
 }
 
-// Record adds one sample.
+// bucket returns the counter for bucket idx, allocating its row on first
+// use.
+func (h *Hist) bucket(idx int) *uint32 {
+	r := h.rows[idx>>subBits]
+	if r == nil {
+		r = new([subBuckets]uint32)
+		h.rows[idx>>subBits] = r
+	}
+	return &r[idx&(subBuckets-1)]
+}
+
+// each calls fn for every non-empty bucket in ascending order until fn
+// returns false.
+func (h *Hist) each(fn func(idx int, c uint32) bool) {
+	for ri, r := range h.rows {
+		if r == nil {
+			continue
+		}
+		for si, c := range r {
+			if c != 0 && !fn(ri<<subBits|si, c) {
+				return
+			}
+		}
+	}
+}
+
+// Record adds one sample. It allocates only when v is the first value in
+// its row.
 func (h *Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketOf(v)]++
+	*h.bucket(bucketOf(v))++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -75,7 +107,7 @@ func (h *Hist) RecordN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketOf(v)] += uint32(n)
+	*h.bucket(bucketOf(v)) += uint32(n)
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -132,24 +164,28 @@ func (h *Hist) Quantile(q float64) int64 {
 	if target >= h.count {
 		target = h.count - 1
 	}
+	out := h.max
 	var cum uint64
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	h.each(func(idx int, c uint32) bool {
 		cum += uint64(c)
 		if cum > target {
-			u := upperValue(idx)
-			if u > h.max {
-				u = h.max
-			}
-			if u < h.min {
-				u = h.min
-			}
-			return u
+			out = h.clamp(upperValue(idx))
+			return false
 		}
+		return true
+	})
+	return out
+}
+
+// clamp bounds a bucket's upper value by the recorded min and max.
+func (h *Hist) clamp(u int64) int64 {
+	if u > h.max {
+		u = h.max
 	}
-	return h.max
+	if u < h.min {
+		u = h.min
+	}
+	return u
 }
 
 // upperValue returns the largest value that maps into bucket idx.
@@ -169,8 +205,17 @@ func (h *Hist) Merge(other *Hist) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for ri, r := range other.rows {
+		if r == nil {
+			continue
+		}
+		if h.rows[ri] == nil {
+			h.rows[ri] = new([subBuckets]uint32)
+		}
+		dst := h.rows[ri]
+		for si, c := range r {
+			dst[si] += c
+		}
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min
@@ -182,9 +227,14 @@ func (h *Hist) Merge(other *Hist) {
 	h.sum += other.sum
 }
 
-// Reset clears all recorded samples.
+// Reset clears all recorded samples, keeping the allocated rows for reuse.
 func (h *Hist) Reset() {
-	*h = Hist{}
+	for _, r := range h.rows {
+		if r != nil {
+			*r = [subBuckets]uint32{}
+		}
+	}
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // Snapshot is a compact summary of a histogram.
@@ -233,34 +283,21 @@ func (h *Hist) Quantiles(qs []float64) []int64 {
 	}
 	var cum uint64
 	qi := 0
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	h.each(func(idx int, c uint32) bool {
 		cum += uint64(c)
 		for qi < len(qs) {
 			target := uint64(qs[qi] * float64(h.count))
 			if target >= h.count {
 				target = h.count - 1
 			}
-			if cum > target {
-				u := upperValue(idx)
-				if u > h.max {
-					u = h.max
-				}
-				if u < h.min {
-					u = h.min
-				}
-				out[qi] = u
-				qi++
-			} else {
+			if cum <= target {
 				break
 			}
+			out[qi] = h.clamp(upperValue(idx))
+			qi++
 		}
-		if qi == len(qs) {
-			break
-		}
-	}
+		return qi < len(qs)
+	})
 	for ; qi < len(qs); qi++ {
 		out[qi] = h.max
 	}
@@ -294,6 +331,12 @@ func (h *Hist) Percentiles(ps []float64) []int64 {
 // Clone returns an independent copy of the histogram.
 func (h *Hist) Clone() *Hist {
 	c := *h
+	for i, r := range h.rows {
+		if r != nil {
+			row := *r
+			c.rows[i] = &row
+		}
+	}
 	return &c
 }
 
@@ -309,17 +352,26 @@ func (h *Hist) Delta(prev *Hist) *Hist {
 	}
 	d := &Hist{}
 	var lo, hi int64 = -1, 0
-	for i := range h.counts {
-		c := h.counts[i] - prev.counts[i]
-		if c == 0 {
+	for ri, r := range h.rows {
+		if r == nil {
 			continue
 		}
-		d.counts[i] = c
-		u := upperValue(i)
-		if lo < 0 {
-			lo = u
+		p := prev.rows[ri]
+		for si, c := range r {
+			if p != nil {
+				c -= p[si]
+			}
+			if c == 0 {
+				continue
+			}
+			idx := ri<<subBits | si
+			*d.bucket(idx) = c
+			u := upperValue(idx)
+			if lo < 0 {
+				lo = u
+			}
+			hi = u
 		}
-		hi = u
 	}
 	d.count = h.count - prev.count
 	d.sum = h.sum - prev.sum
@@ -343,11 +395,9 @@ func (h *Hist) Delta(prev *Hist) *Hist {
 // per non-empty bucket.
 func (h *Hist) Dump() string {
 	var b strings.Builder
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	h.each(func(idx int, c uint32) bool {
 		fmt.Fprintf(&b, "<=%dns: %d\n", upperValue(idx), c)
-	}
+		return true
+	})
 	return b.String()
 }

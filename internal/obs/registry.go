@@ -1,17 +1,18 @@
 // Package obs is the unified telemetry layer shared by the simulated
 // dataplane and the real TCP server: a labeled metrics registry
-// (counters, gauges, histograms backed by internal/hist) with an
-// allocation-free hot path, a time-series sampler that runs off either the
-// simulation clock or a wall-clock ticker, per-request span tracing with a
-// bounded ring buffer and a top-K slow-request log, and exposition in
-// Prometheus text format, expvar and JSON snapshots.
+// (counters, gauges, histograms backed by internal/hist) with a hot path
+// that is allocation-free once a histogram value's row exists, a
+// time-series sampler that runs off either the simulation clock or a
+// wall-clock ticker, per-request span tracing with a bounded ring buffer
+// and a top-K slow-request log, and exposition in Prometheus text format,
+// expvar and JSON snapshots.
 //
 // Design rules:
 //
 //   - Registration is the slow path: it takes a mutex and allocates. It
 //     returns a typed handle (*Counter, *Gauge, *Histogram) whose hot-path
-//     operations (Inc, Add, Set, Record) are allocation-free and safe for
-//     concurrent use.
+//     operations (Inc, Add, Set, Record) are safe for concurrent use and
+//     allocation-free, Record once the value's row exists.
 //   - Read-side functions (CounterFunc, GaugeFunc) expose existing
 //     single-writer state — the simulator's plain counters — without
 //     touching the hot path at all. They are evaluated only at exposition
@@ -129,7 +130,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram is a concurrency-safe latency histogram. Record is
-// allocation-free; the mutex is uncontended in the single-threaded
+// allocation-free once the value's row exists; the mutex is uncontended in the single-threaded
 // simulator and cheap relative to a syscall-bearing request path in the
 // real server.
 type Histogram struct {
