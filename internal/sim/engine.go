@@ -17,10 +17,7 @@
 //     determinism is preserved.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation.
@@ -45,32 +42,79 @@ type Event struct {
 // Time reports when the event is scheduled to fire.
 func (ev *Event) Time() Time { return ev.at }
 
+// eventHeap is a binary min-heap of pending events ordered by (at, seq).
+// Every event has a distinct seq, so the order is total and the pop order
+// does not depend on how the heap is arranged. Each event records its
+// slot in index so Cancel can remove it in O(log n).
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires ahead of b.
+func before(a, b *Event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// up moves the event at slot j toward the root until its parent fires
+// ahead of it.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[j] = h[p]
+		h[j].index = j
+		j = p
 	}
-	return h[i].seq < h[j].seq
+	h[j] = ev
+	ev.index = j
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down moves the event at slot i toward the leaves until it fires ahead
+// of both children. It reports whether the event moved.
+func (h eventHeap) down(i int) bool {
+	ev, i0, n := h[i], i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
+
+func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at slot i out of the heap.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i]
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i != n {
+		old[i] = last
+		last.index = i
+		if !h.down(i) {
+			h.up(i)
+		}
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
 }
 
@@ -106,7 +150,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -126,8 +170,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	heap.Remove(&e.events, ev.index)
-	ev.index = -1
+	e.events.remove(ev.index)
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -136,7 +179,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
+	ev := e.events.remove(0)
 	e.now = ev.at
 	e.executed++
 	ev.fn()

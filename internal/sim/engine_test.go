@@ -181,3 +181,68 @@ func TestEngineManyEventsStress(t *testing.T) {
 		t.Fatalf("executed %d events, want 10000", n)
 	}
 }
+
+// TestEngineHeapMatchesSortedReference pushes, pops and cancels events at
+// random, including events scheduled from inside running events and many
+// ties on one instant, and checks every pop against a reference kept
+// sorted by (time, scheduling order).
+func TestEngineHeapMatchesSortedReference(t *testing.T) {
+	rng := NewRNG(7)
+	for trial := 0; trial < 50; trial++ {
+		e := NewEngine()
+		type pending struct {
+			ev *Event
+			id int
+		}
+		var ref []pending // sorted by (Time, id); ids grow with scheduling order
+		insert := func(p pending) {
+			i := len(ref)
+			for i > 0 && (ref[i-1].ev.at > p.ev.at || ref[i-1].ev.at == p.ev.at && ref[i-1].id > p.id) {
+				i--
+			}
+			ref = append(ref, pending{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = p
+		}
+		nextID, fired := 0, -1
+		var schedule func()
+		schedule = func() {
+			id := nextID
+			nextID++
+			// A narrow time range forces many same-instant ties.
+			at := e.Now() + rng.Int63n(int64(1+rng.Intn(50)))
+			ev := e.At(at, func() {
+				fired = id
+				if rng.Intn(3) == 0 && nextID < 5000 {
+					schedule()
+				}
+			})
+			insert(pending{ev, id})
+		}
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				schedule()
+			case r < 7 && len(ref) > 0:
+				i := rng.Intn(len(ref))
+				e.Cancel(ref[i].ev)
+				e.Cancel(ref[i].ev) // a second cancel is a no-op
+				ref = append(ref[:i], ref[i+1:]...)
+			case len(ref) > 0:
+				want := ref[0]
+				ref = ref[1:]
+				if !e.Step() {
+					t.Fatalf("trial %d: Step found no event, reference holds %d", trial, len(ref)+1)
+				}
+				if fired != want.id || e.Now() != want.ev.at {
+					t.Fatalf("trial %d: fired event %d at %d, want %d at %d",
+						trial, fired, e.Now(), want.id, want.ev.at)
+				}
+				e.Cancel(want.ev) // cancelling a fired event is a no-op
+			}
+			if e.Pending() != len(ref) {
+				t.Fatalf("trial %d: %d pending, reference holds %d", trial, e.Pending(), len(ref))
+			}
+		}
+	}
+}
