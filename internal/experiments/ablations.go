@@ -21,7 +21,9 @@ func AblationBatching(scale Scale) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(150 * sim.Millisecond)
 
-	for _, batch := range []int{1, 8, 64, 512} {
+	batches := []int{1, 8, 64, 512}
+	t.addSweep(len(batches), func(i int, rows *Table) {
+		batch := batches[i]
 		run := func(offered float64, seed int64) (float64, sim.Time) {
 			r := newRig(8000 + int64(batch) + seed)
 			cfg := dataplane.DefaultConfig(1, 1_200_000*core.TokenUnit)
@@ -35,8 +37,8 @@ func AblationBatching(scale Scale) *Table {
 		}
 		heavyIOPS, heavyP95 := run(800_000, 1)
 		_, lightP95 := run(20_000, 2)
-		t.Add(batch, k(heavyIOPS), us(heavyP95), us(lightP95))
-	}
+		rows.Add(batch, k(heavyIOPS), us(heavyP95), us(lightP95))
+	})
 	return t
 }
 
@@ -52,24 +54,24 @@ func AblationTwoStep(scale Scale) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(150 * sim.Millisecond)
 
-	for _, blocking := range []bool{false, true} {
+	loads := []float64{10_000, 100_000, 400_000}
+	t.addSweep(2*len(loads), func(i int, rows *Table) {
+		blocking, offered := i >= len(loads), loads[i%len(loads)]
 		name := "two-step"
 		if blocking {
 			name = "blocking"
 		}
-		for _, offered := range []float64{10_000, 100_000, 400_000} {
-			r := newRig(8100)
-			cfg := dataplane.DefaultConfig(1, 1_200_000*core.TokenUnit)
-			cfg.DisableQoS = true
-			cfg.BlockingModel = blocking
-			srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
-			tn := beTenant(srv, 1)
-			conn := srv.Connect(r.ixClient(5), tn)
-			res := r.openLoop(conn, offered, 100, 1024, warm, dur, 7)
-			r.finish()
-			t.Add(name, k(offered), k(res.IOPS()), us(res.ReadLat.Quantile(0.95)))
-		}
-	}
+		r := newRig(8100)
+		cfg := dataplane.DefaultConfig(1, 1_200_000*core.TokenUnit)
+		cfg.DisableQoS = true
+		cfg.BlockingModel = blocking
+		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
+		tn := beTenant(srv, 1)
+		conn := srv.Connect(r.ixClient(5), tn)
+		res := r.openLoop(conn, offered, 100, 1024, warm, dur, 7)
+		r.finish()
+		rows.Add(name, k(offered), k(res.IOPS()), us(res.ReadLat.Quantile(0.95)))
+	})
 	return t
 }
 
@@ -87,7 +89,9 @@ func AblationCostModel(scale Scale) *Table {
 	warm := scale.dur(30 * sim.Millisecond)
 	dur := scale.dur(250 * sim.Millisecond)
 
-	run := func(naive bool) {
+	// Point 0 runs the calibrated model, point 1 the naive one.
+	t.addSweep(2, func(i int, rows *Table) {
+		naive := i == 1
 		name := "calibrated"
 		if naive {
 			name = "naive"
@@ -110,11 +114,9 @@ func AblationCostModel(scale Scale) *Table {
 		rres := r.openLoop(srv.Connect(r.ixClient(1), reader), 120_000, 100, 4096, warm, dur, 11)
 		wres := r.openLoop(srv.Connect(r.ixClient(2), writerBE), 120_000, 0, 4096, warm, dur, 12)
 		r.finish()
-		t.Add(name, "LC reader", us(rres.ReadLat.Quantile(0.95)), k(rres.IOPS()))
-		t.Add(name, "BE writer", "-", k(wres.IOPS()))
-	}
-	run(false)
-	run(true)
+		rows.Add(name, "LC reader", us(rres.ReadLat.Quantile(0.95)), k(rres.IOPS()))
+		rows.Add(name, "BE writer", "-", k(wres.IOPS()))
+	})
 	return t
 }
 
@@ -130,7 +132,9 @@ func AblationNegLimit(scale Scale) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(250 * sim.Millisecond)
 
-	for _, limit := range []core.Tokens{0, -50, -2000} {
+	limits := []core.Tokens{0, -50, -2000}
+	t.addSweep(len(limits), func(li int, rows *Table) {
+		limit := limits[li]
 		r := newRig(8300)
 		cfg := dataplane.DefaultConfig(1, deviceTokenRate(500*sim.Microsecond))
 		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
@@ -159,9 +163,9 @@ func AblationNegLimit(scale Scale) *Table {
 		r.eng.After(warm, burstTick)
 
 		r.finish()
-		t.Add(limit, us(vres.ReadLat.Quantile(0.95)),
+		rows.Add(limit, us(vres.ReadLat.Quantile(0.95)),
 			k(float64(submitted)/(float64(dur)/float64(sim.Second))))
-	}
+	})
 	return t
 }
 
@@ -182,7 +186,9 @@ func AblationFraction(scale Scale) *Table {
 	active := 100 * sim.Millisecond
 	window := 25 * sim.Millisecond
 
-	for _, frac := range []float64{0.1, 0.5, 0.9, 1.0} {
+	fracs := []float64{0.1, 0.5, 0.9, 1.0}
+	t.addSweep(len(fracs), func(i int, rows *Table) {
+		frac := fracs[i]
 		r := newRig(8400)
 		cfg := dataplane.DefaultConfig(2, 420_000*core.TokenUnit)
 		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
@@ -211,7 +217,7 @@ func AblationFraction(scale Scale) *Table {
 		// window right after the LC tenant idles.
 		res := r.openLoop(srv.Connect(r.ixClient(3), be), 400_000, 100, 4096, active, window, 16)
 		r.finish()
-		t.Add(fmt.Sprintf("%.0f%%", frac*100), k(res.IOPS()))
-	}
+		rows.Add(fmt.Sprintf("%.0f%%", frac*100), k(res.IOPS()))
+	})
 	return t
 }

@@ -100,111 +100,124 @@ func CacheBench(scale Scale) (CacheBenchResult, *Table) {
 	warm := scale.dur(100 * sim.Millisecond)
 	dur := scale.dur(300 * sim.Millisecond)
 
-	for _, cacheOn := range []bool{false, true} {
-		// A 100GbE link keeps the NIC out of the way: with the cache on,
-		// aggregate read throughput exceeds what 10GbE can carry in 4KB
-		// responses, and the experiment is about token accounting, not
-		// wire saturation (ext-100gbe covers that regime).
-		eng := sim.NewEngine()
-		r := &rig{
-			eng: eng,
-			net: netsim.New(eng, netsim.HundredGbE()),
-		}
-		r.dev = flashsim.New(eng, flashsim.DeviceA(), 4200)
-		cfg := dataplane.DefaultConfig(1, deviceTokenRate(500*sim.Microsecond))
-		if cacheOn {
-			cfg.CacheBlocks = cacheBlocks
-			cfg.CacheAdmit = "cost"
-			cfg.CacheHitService = 2 * sim.Microsecond
-		}
-		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
-
-		a := lcTenant(srv, 1, 120_000, 100, 500*sim.Microsecond)
-		c := beTenant(srv, 3)
-		d := beTenant(srv, 4)
-
-		// Reads are Zipf-skewed over the working set; write streams are
-		// uniform (a skewed read set over a spread write set is the usual
-		// shape of caching-friendly storage workloads — and a write
-		// stream aimed at the read hot set would simply invalidate the
-		// cache as fast as it fills, which is the cache-off row again).
-		// C keeps Fig 5's 95/5 mix via two generators on one tenant.
-		type load struct {
-			tn      *core.Tenant
-			name    string
-			iops    float64
-			readPct int
-			skew    float64
-			paced   bool
-		}
-		loads := []load{
-			{a, "A", 117_500, 100, cacheZipfSkew, true},
-			{c, "C", 200_000, 100, cacheZipfSkew, false},
-			{c, "Cw", 10_000, 0, 0, false},
-			{d, "D", 40_000, 25, 0, false},
-		}
-		results := make(map[string]*workload.Result)
-		for li, l := range loads {
-			conn := srv.Connect(r.ixClient(int64(li)), l.tn)
-			results[l.name] = r.zipfLoop(conn, l.iops, l.readPct, 4096,
-				cacheWorkingSet, l.skew, warm, dur, int64(500+li), l.paced)
-		}
-		r.finish()
-		results["C"].Merge(results["Cw"])
-		delete(results, "Cw")
-		loads = append(loads[:2], loads[3])
-
-		config := "cache off"
-		hitPct := "-"
-		if cacheOn {
-			config = "cache on"
-			hitPct = fmt.Sprintf("%.0f", srv.Cache().HitRatio()*100)
-		}
-		beIOPS := results["C"].IOPS() + results["D"].IOPS()
-		for _, l := range loads {
-			res := results[l.name]
-			t.Add("1-cache", config, l.name,
-				us(res.ReadLat.Quantile(0.95)), us(res.ReadLat.Quantile(0.99)),
-				k(res.IOPS()), hitPct, "-")
-		}
-		if cacheOn {
-			out.BEIOPSOn = beIOPS
-			out.HitRatio = srv.Cache().HitRatio()
-			out.LCReadP99On = results["A"].ReadLat.Quantile(0.99)
+	// Points 0 and 1 are part 1 without and with the cache, points 2 and 3
+	// part 2 with one and two placement streams. Each point sets its own
+	// fields of out.
+	t.addSweep(4, func(i int, rows *Table) {
+		if i < 2 {
+			cacheTierPoint(i == 1, warm, dur, rows, &out)
 		} else {
-			out.BEIOPSOff = beIOPS
-			out.LCReadP99Off = results["A"].ReadLat.Quantile(0.99)
+			cachePlacementPoint(i-1, warm, dur, rows, &out)
 		}
-	}
-
-	for _, streams := range []int{1, 2} {
-		r := newRigOn(cachePlacementSpec(streams), 4300)
-		cfg := dataplane.DefaultConfig(1, deviceTokenRate(2*sim.Millisecond))
-		cfg.StreamByClass = streams > 1
-		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
-
-		// Hot overwriter is LC (stream 0 when segregated), cold writer BE
-		// (stream 1): same split the real server draws from tenant class.
-		hot := lcTenant(srv, 1, 40_000, 20, 2*sim.Millisecond)
-		cold := beTenant(srv, 2)
-
-		hotConn := srv.Connect(r.ixClient(1), hot)
-		coldConn := srv.Connect(r.ixClient(2), cold)
-		r.zipfLoop(hotConn, 30_000, 20, 4096, 64, 0, warm, dur, 61, true)
-		r.zipfLoop(offsetTarget(coldConn, 1024), 7_500, 20, 4096, 400, 0, warm, dur, 62, false)
-		r.finish()
-
-		config := "mixed (1 stream)"
-		if streams > 1 {
-			config = "segregated (2 streams)"
-		}
-		wa := r.dev.WriteAmp()
-		t.Add("2-placement", config, "-", "-", "-", "-", "-", fmt.Sprintf("%.3f", wa))
-		if streams > 1 {
-			out.WriteAmpSegregated = wa
-		} else {
-			out.WriteAmpMixed = wa
-		}
-	}
+	})
 	return out, t
+}
+
+// cacheTierPoint runs one configuration of ext-cache part 1.
+func cacheTierPoint(cacheOn bool, warm, dur sim.Time, rows *Table, out *CacheBenchResult) {
+	// A 100GbE link keeps the NIC out of the way: with the cache on,
+	// aggregate read throughput exceeds what 10GbE can carry in 4KB
+	// responses, and the experiment is about token accounting, not
+	// wire saturation (ext-100gbe covers that regime).
+	eng := sim.NewEngine()
+	r := &rig{
+		eng: eng,
+		net: netsim.New(eng, netsim.HundredGbE()),
+	}
+	r.dev = flashsim.New(eng, flashsim.DeviceA(), 4200)
+	cfg := dataplane.DefaultConfig(1, deviceTokenRate(500*sim.Microsecond))
+	if cacheOn {
+		cfg.CacheBlocks = cacheBlocks
+		cfg.CacheAdmit = "cost"
+		cfg.CacheHitService = 2 * sim.Microsecond
+	}
+	srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
+
+	a := lcTenant(srv, 1, 120_000, 100, 500*sim.Microsecond)
+	c := beTenant(srv, 3)
+	d := beTenant(srv, 4)
+
+	// Reads are Zipf-skewed over the working set; write streams are
+	// uniform (a skewed read set over a spread write set is the usual
+	// shape of caching-friendly storage workloads — and a write
+	// stream aimed at the read hot set would simply invalidate the
+	// cache as fast as it fills, which is the cache-off row again).
+	// C keeps Fig 5's 95/5 mix via two generators on one tenant.
+	type load struct {
+		tn      *core.Tenant
+		name    string
+		iops    float64
+		readPct int
+		skew    float64
+		paced   bool
+	}
+	loads := []load{
+		{a, "A", 117_500, 100, cacheZipfSkew, true},
+		{c, "C", 200_000, 100, cacheZipfSkew, false},
+		{c, "Cw", 10_000, 0, 0, false},
+		{d, "D", 40_000, 25, 0, false},
+	}
+	results := make(map[string]*workload.Result)
+	for li, l := range loads {
+		conn := srv.Connect(r.ixClient(int64(li)), l.tn)
+		results[l.name] = r.zipfLoop(conn, l.iops, l.readPct, 4096,
+			cacheWorkingSet, l.skew, warm, dur, int64(500+li), l.paced)
+	}
+	r.finish()
+	results["C"].Merge(results["Cw"])
+	delete(results, "Cw")
+	loads = append(loads[:2], loads[3])
+
+	config := "cache off"
+	hitPct := "-"
+	if cacheOn {
+		config = "cache on"
+		hitPct = fmt.Sprintf("%.0f", srv.Cache().HitRatio()*100)
+	}
+	beIOPS := results["C"].IOPS() + results["D"].IOPS()
+	for _, l := range loads {
+		res := results[l.name]
+		rows.Add("1-cache", config, l.name,
+			us(res.ReadLat.Quantile(0.95)), us(res.ReadLat.Quantile(0.99)),
+			k(res.IOPS()), hitPct, "-")
+	}
+	if cacheOn {
+		out.BEIOPSOn = beIOPS
+		out.HitRatio = srv.Cache().HitRatio()
+		out.LCReadP99On = results["A"].ReadLat.Quantile(0.99)
+	} else {
+		out.BEIOPSOff = beIOPS
+		out.LCReadP99Off = results["A"].ReadLat.Quantile(0.99)
+	}
+}
+
+// cachePlacementPoint runs one configuration of ext-cache part 2.
+func cachePlacementPoint(streams int, warm, dur sim.Time, rows *Table, out *CacheBenchResult) {
+	r := newRigOn(cachePlacementSpec(streams), 4300)
+	cfg := dataplane.DefaultConfig(1, deviceTokenRate(2*sim.Millisecond))
+	cfg.StreamByClass = streams > 1
+	srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
+
+	// Hot overwriter is LC (stream 0 when segregated), cold writer BE
+	// (stream 1): same split the real server draws from tenant class.
+	hot := lcTenant(srv, 1, 40_000, 20, 2*sim.Millisecond)
+	cold := beTenant(srv, 2)
+
+	hotConn := srv.Connect(r.ixClient(1), hot)
+	coldConn := srv.Connect(r.ixClient(2), cold)
+	r.zipfLoop(hotConn, 30_000, 20, 4096, 64, 0, warm, dur, 61, true)
+	r.zipfLoop(offsetTarget(coldConn, 1024), 7_500, 20, 4096, 400, 0, warm, dur, 62, false)
+	r.finish()
+
+	config := "mixed (1 stream)"
+	if streams > 1 {
+		config = "segregated (2 streams)"
+	}
+	wa := r.dev.WriteAmp()
+	rows.Add("2-placement", config, "-", "-", "-", "-", "-", fmt.Sprintf("%.3f", wa))
+	if streams > 1 {
+		out.WriteAmpSegregated = wa
+	} else {
+		out.WriteAmpMixed = wa
+	}
 }

@@ -43,7 +43,8 @@ func ExtFaults(scale Scale) *Table {
 		{"heavy", 0.02, 0.05},
 	}
 
-	for _, p := range profiles {
+	t.addSweep(len(profiles), func(i int, rows *Table) {
+		p := profiles[i]
 		r := newRig(7)
 		inj := faults.New(faults.Config{
 			Seed:            7,
@@ -69,10 +70,10 @@ func ExtFaults(scale Scale) *Table {
 		r.finish()
 
 		st := r.dev.Stats()
-		t.Add(p.name,
+		rows.Add(p.name,
 			fmt.Sprintf("%.3f", p.msg), fmt.Sprintf("%.3f", p.dev),
 			inj.Injected(), st.Errors, st.Stalls,
 			us(lcRes.ReadLat.Quantile(0.95)), k(lcRes.IOPS()), k(beRes.IOPS()))
-	}
+	})
 	return t
 }

@@ -33,17 +33,21 @@ func Fig1(scale Scale) *Table {
 		Notes:   "curves end when p95 exceeds 2ms, as in the figure's y-range",
 	}
 	dur := scale.dur(200 * sim.Millisecond)
-	for _, readPct := range []int{100, 99, 95, 90, 75, 50} {
+	// Each curve is one sweep point: its steps stay serial because a curve
+	// stops at the first step past the y-range.
+	readPcts := []int{100, 99, 95, 90, 75, 50}
+	t.addSweep(len(readPcts), func(i int, rows *Table) {
+		readPct := readPcts[i]
 		iops := 25_000.0
 		for step := 0; step < 20; step++ {
 			p95, achieved := fig1Point(flashsim.DeviceA(), readPct, 4096, iops, dur, 100+int64(step))
-			t.Add(readPct, k(iops), k(achieved), us(p95))
+			rows.Add(readPct, k(iops), k(achieved), us(p95))
 			if p95 > 2*sim.Millisecond {
 				break
 			}
 			iops *= 1.45
 		}
-	}
+	})
 	return t
 }
 
@@ -91,17 +95,19 @@ func Fig3(device string, scale Scale) *Table {
 		return pages * (r*readCost + (1-r)*float64(spec.WriteCost))
 	}
 
-	for mi, m := range mixes {
+	// One sweep point per curve, as in Fig1.
+	t.addSweep(len(mixes), func(mi int, rows *Table) {
+		m := mixes[mi]
 		w := weight(m)
 		iops := 20_000.0 / w * 4
 		for step := 0; step < 18; step++ {
 			p95, achieved := fig1Point(spec, m.readPct, m.size, iops, dur, 300+int64(mi*20+step))
-			t.Add(m.label, k(iops), fmt.Sprintf("%.0f", achieved*w/1000), us(p95))
+			rows.Add(m.label, k(iops), fmt.Sprintf("%.0f", achieved*w/1000), us(p95))
 			if p95 > 2*sim.Millisecond {
 				break
 			}
 			iops *= 1.5
 		}
-	}
+	})
 	return t
 }

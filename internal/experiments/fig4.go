@@ -34,7 +34,9 @@ func Fig4(scale Scale) *Table {
 		{"Libaio", 1, mkLibaioTargets},
 		{"Libaio", 2, mkLibaioTargets},
 	}
-	for si, sys := range systems {
+	// One sweep point per system curve; a curve's steps stay serial.
+	t.addSweep(len(systems), func(si int, rows *Table) {
+		sys := systems[si]
 		name := sys.name + suffixT(sys.threads)
 		// Sweep offered load geometrically per system.
 		offered := 20_000.0
@@ -60,13 +62,13 @@ func Fig4(scale Scale) *Table {
 				}
 			}
 			p95 := lat.Quantile(0.95)
-			t.Add(name, k(offered), k(achieved), us(p95))
+			rows.Add(name, k(offered), k(achieved), us(p95))
 			if p95 > sim.Millisecond {
 				break
 			}
 			offered *= 1.5
 		}
-	}
+	})
 	return t
 }
 

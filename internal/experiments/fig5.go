@@ -27,7 +27,9 @@ func Fig5(scale Scale) *Table {
 	warm := scale.dur(30 * sim.Millisecond)
 	dur := scale.dur(300 * sim.Millisecond)
 
-	for _, scenario := range []int{1, 2} {
+	// Points run scenario-major, the QoS scheduler off before on.
+	t.addSweep(4, func(i int, rows *Table) {
+		scenario, disabled := 1+i/2, i%2 == 0
 		// LC tenants "attempt to use all the IOPS in their SLO": mutilate
 		// holds the offered rate just under the reservation (a generator
 		// cannot sit exactly at the token rate without unbounded critical
@@ -36,55 +38,53 @@ func Fig5(scale Scale) *Table {
 		if scenario == 2 {
 			bOffered = 45_000.0
 		}
-		for _, disabled := range []bool{true, false} {
-			r := newRig(3000 + int64(scenario*10))
-			cfg := dataplane.DefaultConfig(1, deviceTokenRate(500*sim.Microsecond))
-			cfg.DisableQoS = disabled
-			srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
+		r := newRig(3000 + int64(scenario*10))
+		cfg := dataplane.DefaultConfig(1, deviceTokenRate(500*sim.Microsecond))
+		cfg.DisableQoS = disabled
+		srv := dataplane.NewServer(r.eng, r.net, r.dev, cfg)
 
-			a := lcTenant(srv, 1, 120_000, 100, 500*sim.Microsecond)
-			b := lcTenant(srv, 2, 70_000, 80, 500*sim.Microsecond)
-			c := beTenant(srv, 3)
-			d := beTenant(srv, 4)
+		a := lcTenant(srv, 1, 120_000, 100, 500*sim.Microsecond)
+		b := lcTenant(srv, 2, 70_000, 80, 500*sim.Microsecond)
+		c := beTenant(srv, 3)
+		d := beTenant(srv, 4)
 
-			type load struct {
-				tn      *core.Tenant
-				name    string
-				iops    float64
-				readPct int
-				slo     string
-			}
-			loads := []load{
-				{a, "A", 117_500, 100, "LC 120K"},
-				{b, "B", bOffered, 80, "LC 70K"},
-				{c, "C", 80_000, 95, "BE"},
-				{d, "D", 80_000, 25, "BE"},
-			}
-			results := make(map[string]*workload.Result)
-			for li, l := range loads {
-				conn := srv.Connect(r.ixClient(int64(li)), l.tn)
-				if l.tn.Class == core.LatencyCritical {
-					// LC clients pace at their target rate (mutilate's
-					// fixed-rate mode).
-					results[l.name] = r.pacedLoop(conn, l.iops, l.readPct, 4096,
-						warm, dur, int64(scenario*100+li))
-				} else {
-					results[l.name] = r.openLoop(conn, l.iops, l.readPct, 4096,
-						warm, dur, int64(scenario*100+li))
-				}
-			}
-			r.finish()
-
-			sched := "enabled"
-			if disabled {
-				sched = "disabled"
-			}
-			for _, l := range loads {
-				res := results[l.name]
-				t.Add(fmt.Sprintf("%d", scenario), sched, l.name,
-					us(res.ReadLat.Quantile(0.95)), k(res.IOPS()), l.slo)
+		type load struct {
+			tn      *core.Tenant
+			name    string
+			iops    float64
+			readPct int
+			slo     string
+		}
+		loads := []load{
+			{a, "A", 117_500, 100, "LC 120K"},
+			{b, "B", bOffered, 80, "LC 70K"},
+			{c, "C", 80_000, 95, "BE"},
+			{d, "D", 80_000, 25, "BE"},
+		}
+		results := make(map[string]*workload.Result)
+		for li, l := range loads {
+			conn := srv.Connect(r.ixClient(int64(li)), l.tn)
+			if l.tn.Class == core.LatencyCritical {
+				// LC clients pace at their target rate (mutilate's
+				// fixed-rate mode).
+				results[l.name] = r.pacedLoop(conn, l.iops, l.readPct, 4096,
+					warm, dur, int64(scenario*100+li))
+			} else {
+				results[l.name] = r.openLoop(conn, l.iops, l.readPct, 4096,
+					warm, dur, int64(scenario*100+li))
 			}
 		}
-	}
+		r.finish()
+
+		sched := "enabled"
+		if disabled {
+			sched = "disabled"
+		}
+		for _, l := range loads {
+			res := results[l.name]
+			rows.Add(fmt.Sprintf("%d", scenario), sched, l.name,
+				us(res.ReadLat.Quantile(0.95)), k(res.IOPS()), l.slo)
+		}
+	})
 	return t
 }

@@ -27,7 +27,8 @@ func Fig6a(scale Scale, maxCores int) *Table {
 	warm := scale.dur(30 * sim.Millisecond)
 	dur := scale.dur(200 * sim.Millisecond)
 
-	for cores := 1; cores <= maxCores; cores++ {
+	t.addSweep(maxCores, func(ci int, rows *Table) {
+		cores := ci + 1
 		lcTenants := cores // one LC tenant per core, as in the paper
 		r := newRig(4000 + int64(cores))
 		srv := r.reflexServer(cores, deviceTokenRate(2*sim.Millisecond))
@@ -69,9 +70,9 @@ func Fig6a(scale Scale, maxCores int) *Table {
 		}
 		elapsed := float64(r.eng.Now()) / float64(sim.Second)
 		tokens := float64(srv.SubmittedTokens()) / float64(core.TokenUnit) / elapsed
-		t.Add(cores, lcTenants, k(lcIOPS), k(beIOPS),
+		rows.Add(cores, lcTenants, k(lcIOPS), k(beIOPS),
 			fmt.Sprintf("%.0f", tokens/1000), us(lcLat.Quantile(0.95)))
-	}
+	})
 	return t
 }
 
@@ -91,34 +92,40 @@ func Fig6b(scale Scale, tenantCounts []int) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(100 * sim.Millisecond)
 
+	type point struct{ cores, tenants int }
+	var points []point
 	for _, cores := range []int{1, 2, 4} {
 		for _, tenants := range tenantCounts {
 			if tenants > cores*3500 {
 				continue // far past this configuration's saturation
 			}
-			r := newRig(5000 + int64(cores*100000+tenants))
-			srv := r.reflexServer(cores, 1_200_000*core.TokenUnit)
-			client := r.ixClient(3)
-			var results []*workload.Result
-			for i := 0; i < tenants; i++ {
-				tn, err := core.NewTenant(i, "", core.LatencyCritical,
-					core.SLO{IOPS: 100, ReadPercent: 100, LatencyP95: 10 * sim.Millisecond})
-				if err != nil {
-					panic(err)
-				}
-				srv.RegisterTenantOn(tn, i%cores)
-				conn := srv.Connect(client, tn)
-				results = append(results, r.openLoop(conn, 100, 100, 1024,
-					warm, dur, int64(i)))
-			}
-			r.finish()
-			var achieved float64
-			for _, res := range results {
-				achieved += res.IOPS()
-			}
-			t.Add(cores, tenants, k(float64(tenants)*100), k(achieved))
+			points = append(points, point{cores, tenants})
 		}
 	}
+	t.addSweep(len(points), func(pi int, rows *Table) {
+		cores, tenants := points[pi].cores, points[pi].tenants
+		r := newRig(5000 + int64(cores*100000+tenants))
+		srv := r.reflexServer(cores, 1_200_000*core.TokenUnit)
+		client := r.ixClient(3)
+		var results []*workload.Result
+		for i := 0; i < tenants; i++ {
+			tn, err := core.NewTenant(i, "", core.LatencyCritical,
+				core.SLO{IOPS: 100, ReadPercent: 100, LatencyP95: 10 * sim.Millisecond})
+			if err != nil {
+				panic(err)
+			}
+			srv.RegisterTenantOn(tn, i%cores)
+			conn := srv.Connect(client, tn)
+			results = append(results, r.openLoop(conn, 100, 100, 1024,
+				warm, dur, int64(i)))
+		}
+		r.finish()
+		var achieved float64
+		for _, res := range results {
+			achieved += res.IOPS()
+		}
+		rows.Add(cores, tenants, k(float64(tenants)*100), k(achieved))
+	})
 	return t
 }
 
@@ -135,30 +142,36 @@ func Fig6c(scale Scale) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(100 * sim.Millisecond)
 
-	sweep := map[int][]int{
+	connCounts := map[int][]int{
 		100:  {100, 500, 1000, 2500, 5000, 7500, 10000},
 		500:  {100, 250, 500, 1000, 1600, 2200},
 		1000: {50, 100, 250, 500, 850, 1100},
 	}
+	type point struct{ perConn, conns int }
+	var points []point
 	for _, perConn := range []int{100, 500, 1000} {
-		for _, conns := range sweep[perConn] {
-			r := newRig(6000 + int64(perConn*100000+conns))
-			srv := r.reflexServer(1, 1_500_000*core.TokenUnit)
-			tn := beTenant(srv, 1)
-			client := r.ixClient(9)
-			var results []*workload.Result
-			for i := 0; i < conns; i++ {
-				conn := srv.Connect(client, tn)
-				results = append(results, r.openLoop(conn, float64(perConn), 100, 1024,
-					warm, dur, int64(i)))
-			}
-			r.finish()
-			var achieved float64
-			for _, res := range results {
-				achieved += res.IOPS()
-			}
-			t.Add(perConn, conns, k(float64(perConn*conns)), k(achieved))
+		for _, conns := range connCounts[perConn] {
+			points = append(points, point{perConn, conns})
 		}
 	}
+	t.addSweep(len(points), func(pi int, rows *Table) {
+		perConn, conns := points[pi].perConn, points[pi].conns
+		r := newRig(6000 + int64(perConn*100000+conns))
+		srv := r.reflexServer(1, 1_500_000*core.TokenUnit)
+		tn := beTenant(srv, 1)
+		client := r.ixClient(9)
+		var results []*workload.Result
+		for i := 0; i < conns; i++ {
+			conn := srv.Connect(client, tn)
+			results = append(results, r.openLoop(conn, float64(perConn), 100, 1024,
+				warm, dur, int64(i)))
+		}
+		r.finish()
+		var achieved float64
+		for _, res := range results {
+			achieved += res.IOPS()
+		}
+		rows.Add(perConn, conns, k(float64(perConn*conns)), k(achieved))
+	})
 	return t
 }

@@ -22,6 +22,10 @@ const (
 	backendReflex blockBackend = "ReFlex"
 )
 
+// blockBackends lists the Figure 7 backends in table order; slowdowns are
+// taken over the first.
+var blockBackends = []blockBackend{backendLocal, backendISCSI, backendReflex}
+
 // mkBlockDevice assembles the client-side block device for a backend with
 // the given number of blk-mq contexts.
 func mkBlockDevice(r *rig, backend blockBackend, contexts int) blockdev.Device {
@@ -82,20 +86,29 @@ func Fig7a(scale Scale) *Table {
 		backendISCSI:  {1, 2, 3},
 		backendReflex: {1, 2, 4, 6},
 	}
-	for _, backend := range []blockBackend{backendLocal, backendISCSI, backendReflex} {
+	type point struct {
+		backend blockBackend
+		jobs    int
+	}
+	var points []point
+	for _, backend := range blockBackends {
 		for _, jobs := range jobCounts[backend] {
-			r := newRig(7000 + int64(jobs))
-			devs := mkJobDevices(r, backend, jobs)
-			res := fio.Run(r.eng, devs, fio.Config{
-				Jobs: jobs, Depth: 64, ReadPercent: 100, BlockSize: 4096,
-				Blocks: 1 << 22, Warmup: warm, Runtime: dur, Seed: int64(jobs),
-			})
-			r.stopAt = warm + dur
-			r.finish()
-			t.Add(string(backend), jobs, fmt.Sprintf("%.0f", res.MBps()),
-				k(res.IOPS()), us(res.ReadLat.Quantile(0.95)))
+			points = append(points, point{backend, jobs})
 		}
 	}
+	t.addSweep(len(points), func(i int, rows *Table) {
+		backend, jobs := points[i].backend, points[i].jobs
+		r := newRig(7000 + int64(jobs))
+		devs := mkJobDevices(r, backend, jobs)
+		res := fio.Run(r.eng, devs, fio.Config{
+			Jobs: jobs, Depth: 64, ReadPercent: 100, BlockSize: 4096,
+			Blocks: 1 << 22, Warmup: warm, Runtime: dur, Seed: int64(jobs),
+		})
+		r.stopAt = warm + dur
+		r.finish()
+		rows.Add(string(backend), jobs, fmt.Sprintf("%.0f", res.MBps()),
+			k(res.IOPS()), us(res.ReadLat.Quantile(0.95)))
+	})
 	return t
 }
 
@@ -130,21 +143,26 @@ func Fig7b(scale Scale) *Table {
 		backendReflex: 5 * sim.Microsecond / 2,
 		backendISCSI:  8 * sim.Microsecond,
 	}
-	for _, algo := range []flashx.Algo{flashx.AlgoWCC, flashx.AlgoPR, flashx.AlgoBFS, flashx.AlgoSCC} {
-		var localTime sim.Time
-		for _, backend := range []blockBackend{backendLocal, backendISCSI, backendReflex} {
-			r := newRig(7100)
-			dev := mkBlockDevice(r, backend, 6)
-			pg := flashx.NewPaged(g, dev, cachePages)
-			pg.MissCPU = missCPU[backend]
-			elapsed, summary := flashx.Run(r.eng, pg, algo)
-			if backend == backendLocal {
-				localTime = elapsed
-			}
-			slow := float64(elapsed) / float64(localTime)
-			t.Add(string(algo), string(backend), elapsed/sim.Millisecond,
-				fmt.Sprintf("%.2fx", slow), summary)
-		}
+	// Every (algorithm, backend) run is a sweep point; the points share
+	// only the graph, which no run writes. Slowdowns are taken over the
+	// local run of the same algorithm once all points are done.
+	algos := []flashx.Algo{flashx.AlgoWCC, flashx.AlgoPR, flashx.AlgoBFS, flashx.AlgoSCC}
+	nb := len(blockBackends)
+	elapsed := make([]sim.Time, len(algos)*nb)
+	summary := make([]int64, len(elapsed))
+	sweep(len(elapsed), func(i int) {
+		backend := blockBackends[i%nb]
+		r := newRig(7100)
+		dev := mkBlockDevice(r, backend, 6)
+		pg := flashx.NewPaged(g, dev, cachePages)
+		pg.MissCPU = missCPU[backend]
+		elapsed[i], summary[i] = flashx.Run(r.eng, pg, algos[i/nb])
+	})
+	for i := range elapsed {
+		local := elapsed[i-i%nb]
+		t.Add(string(algos[i/nb]), string(blockBackends[i%nb]),
+			elapsed[i]/sim.Millisecond,
+			fmt.Sprintf("%.2fx", float64(elapsed[i])/float64(local)), summary[i])
 	}
 	return t
 }
@@ -256,18 +274,20 @@ func Fig7c(scale Scale) *Table {
 			kvKeys, kvValueBytes),
 	}
 	_ = scale
-	for _, w := range []kvWorkload{kvBulkLoad, kvRandomRead, kvReadWrite} {
-		var localTime sim.Time
-		for _, backend := range []blockBackend{backendLocal, backendISCSI, backendReflex} {
-			r := newRig(7200)
-			dev := mkBlockDevice(r, backend, 6)
-			elapsed := runKV(r, dev, w, 99)
-			if backend == backendLocal {
-				localTime = elapsed
-			}
-			t.Add(string(w), string(backend), elapsed/sim.Millisecond,
-				fmt.Sprintf("%.2fx", float64(elapsed)/float64(localTime)))
-		}
+	// One sweep point per (benchmark, backend) run, as in Fig7b.
+	workloads := []kvWorkload{kvBulkLoad, kvRandomRead, kvReadWrite}
+	nb := len(blockBackends)
+	elapsed := make([]sim.Time, len(workloads)*nb)
+	sweep(len(elapsed), func(i int) {
+		r := newRig(7200)
+		dev := mkBlockDevice(r, blockBackends[i%nb], 6)
+		elapsed[i] = runKV(r, dev, workloads[i/nb], 99)
+	})
+	for i := range elapsed {
+		local := elapsed[i-i%nb]
+		t.Add(string(workloads[i/nb]), string(blockBackends[i%nb]),
+			elapsed[i]/sim.Millisecond,
+			fmt.Sprintf("%.2fx", float64(elapsed[i])/float64(local)))
 	}
 	return t
 }

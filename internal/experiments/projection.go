@@ -29,7 +29,9 @@ func ExtProjection(scale Scale) *Table {
 	warm := scale.dur(20 * sim.Millisecond)
 	dur := scale.dur(120 * sim.Millisecond)
 
-	for _, devices := range []int{1, 2, 4} {
+	deviceCounts := []int{1, 2, 4}
+	t.addSweep(len(deviceCounts), func(i int, rows *Table) {
+		devices := deviceCounts[i]
 		coresPerDev := 1
 		eng := sim.NewEngine()
 		net := netsim.New(eng, netsim.HundredGbE())
@@ -76,11 +78,11 @@ func ExtProjection(scale Scale) *Table {
 			coreUtil += srv.CoreUtilization()
 		}
 		coreUtil /= float64(len(servers))
-		t.Add(devices, devices*coresPerDev,
+		rows.Add(devices, devices*coresPerDev,
 			k(perDevOffered*float64(devices)), k(achieved),
 			fmt.Sprintf("%.1f", achieved*4096/1e9),
 			fmt.Sprintf("%.2f", shared.Port().TxUtilization()),
 			fmt.Sprintf("%.2f", coreUtil))
-	}
+	})
 	return t
 }

@@ -42,38 +42,38 @@ func Table2(scale Scale) *Table {
 		return res.ReadLat, res2.WriteLat
 	}
 
-	row := func(name string, mk func(r *rig) workload.Target, seed int64) {
-		rl, wl := measure(mk, seed)
-		t.Add(name,
+	systems := []struct {
+		name string
+		mk   func(r *rig) workload.Target
+		seed int64
+	}{
+		{"Local (SPDK)", func(r *rig) workload.Target {
+			return baseline.NewLocalNode(r.eng, r.dev, 1).Core(0)
+		}, 1000},
+		{"iSCSI", func(r *rig) workload.Target {
+			return r.iscsiServer(1).Connect(r.linuxClient(7))
+		}, 1100},
+		{"Libaio (Linux Client)", func(r *rig) workload.Target {
+			return r.libaioServer(1).Connect(r.linuxClient(7))
+		}, 1200},
+		{"Libaio (IX Client)", func(r *rig) workload.Target {
+			return r.libaioServer(1).Connect(r.ixClient(7))
+		}, 1300},
+		{"ReFlex (Linux Client)", func(r *rig) workload.Target {
+			srv := r.reflexServer(1, 600_000*core.TokenUnit)
+			return srv.Connect(r.linuxClient(7), beTenant(srv, 1))
+		}, 1400},
+		{"ReFlex (IX Client)", func(r *rig) workload.Target {
+			srv := r.reflexServer(1, 600_000*core.TokenUnit)
+			return srv.Connect(r.ixClient(7), beTenant(srv, 1))
+		}, 1500},
+	}
+	t.addSweep(len(systems), func(i int, rows *Table) {
+		rl, wl := measure(systems[i].mk, systems[i].seed)
+		rows.Add(systems[i].name,
 			us(int64(rl.Mean())), us(rl.Quantile(0.95)),
 			us(int64(wl.Mean())), us(wl.Quantile(0.95)))
-	}
-
-	row("Local (SPDK)", func(r *rig) workload.Target {
-		return baseline.NewLocalNode(r.eng, r.dev, 1).Core(0)
-	}, 1000)
-
-	row("iSCSI", func(r *rig) workload.Target {
-		return r.iscsiServer(1).Connect(r.linuxClient(7))
-	}, 1100)
-
-	row("Libaio (Linux Client)", func(r *rig) workload.Target {
-		return r.libaioServer(1).Connect(r.linuxClient(7))
-	}, 1200)
-
-	row("Libaio (IX Client)", func(r *rig) workload.Target {
-		return r.libaioServer(1).Connect(r.ixClient(7))
-	}, 1300)
-
-	row("ReFlex (Linux Client)", func(r *rig) workload.Target {
-		srv := r.reflexServer(1, 600_000*core.TokenUnit)
-		return srv.Connect(r.linuxClient(7), beTenant(srv, 1))
-	}, 1400)
-
-	row("ReFlex (IX Client)", func(r *rig) workload.Target {
-		srv := r.reflexServer(1, 600_000*core.TokenUnit)
-		return srv.Connect(r.ixClient(7), beTenant(srv, 1))
-	}, 1500)
+	})
 
 	return t
 }
