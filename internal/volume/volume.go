@@ -20,7 +20,9 @@
 //   - A clone is a writable volume whose chain starts at a snapshot
 //     layer. Chain layers are reference-counted; an extent is owned by
 //     exactly one map (the live map or one frozen layer) and is returned
-//     to the pool when its owner dies.
+//     to the pool when its owner dies. Deleting a snapshot below the
+//     chain head that no clone uses folds its layer into the next one,
+//     so rolling snapshots free the extents the newer layer overwrote.
 //   - Diff(genA, genB] enumerates the logical extents written between two
 //     generations — the layer chain makes this a walk of the layers in
 //     that window — feeding the OpVolStream incremental backup stream.
@@ -803,8 +805,10 @@ func (m *Manager) Clone(src string, gen uint64, name string) (*Volume, error) {
 // Delete removes a volume (gen == 0) or unregisters one snapshot
 // generation (gen != 0). Extents return to the pool as soon as no layer
 // or live map owns them — a snapshot still referenced by a clone keeps
-// its extents until the clone dies too. Returns the number of extents
-// freed.
+// its extents until the clone dies too, and the chain head's extents
+// stay with it while the live map reads through it. A deleted snapshot
+// below the head folds into the next snapshot's layer, freeing the
+// extents that layer shadows. Returns the number of extents freed.
 func (m *Manager) Delete(name string, gen uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -821,6 +825,14 @@ func (m *Manager) Delete(name string, gen uint64) (int, error) {
 		v.mu.Unlock()
 		if !ok {
 			return 0, fmt.Errorf("volume: %s has no snapshot generation %d", name, gen)
+		}
+		// With no clone attached, the layer's only other reference is its
+		// chain child. Below the chain head that child is a frozen layer,
+		// and the deleted layer folds into it.
+		if l.refs == 2 {
+			if child := m.chainChild(v, l); child != nil {
+				return m.foldLayer(l, child), nil
+			}
 		}
 		return m.unrefLayer(l), nil
 	}
@@ -848,6 +860,57 @@ func (m *Manager) Delete(name string, gen uint64) (int, error) {
 		freed += m.unrefLayer(l)
 	}
 	return freed, nil
+}
+
+// chainChild returns the frozen layer of v's chain whose parent is l, or
+// nil when l is v's chain head (its child is v's live map). Caller holds
+// m.mu, under which chain links change.
+func (m *Manager) chainChild(v *Volume, l *layer) *layer {
+	for c := v.parent; c != nil; c = c.parent {
+		if c.parent == l {
+			return c
+		}
+	}
+	return nil
+}
+
+// foldLayer splices l, a layer referenced only by its chain child c, out
+// of the chain. Entries of l that c shadows, Holes included, are dropped
+// and their extents return to the pool; the rest move into c. A read
+// through c, and a Diff over any window holding both generations or
+// neither, sees what it saw before. Every volume whose
+// chain reaches c is locked while c changes. Returns the extents freed.
+// Caller holds m.mu.
+func (m *Manager) foldLayer(l, c *layer) int {
+	var readers []*Volume
+	for _, w := range m.vols {
+		for x := w.parent; x != nil; x = x.parent {
+			if x == c {
+				readers = append(readers, w)
+				break
+			}
+		}
+	}
+	for _, w := range readers {
+		w.mu.Lock()
+	}
+	freed := 0
+	for lext, e := range l.ents {
+		if _, shadowed := c.ents[lext]; shadowed {
+			if e != Hole {
+				m.pool.release(e)
+				freed++
+			}
+			continue
+		}
+		c.ents[lext] = e
+	}
+	c.parent = l.parent // c inherits l's reference on its parent
+	l.ents, l.parent, l.refs = nil, nil, 0
+	for _, w := range readers {
+		w.mu.Unlock()
+	}
+	return freed
 }
 
 // unrefLayer drops one reference; at zero the layer's extents return to

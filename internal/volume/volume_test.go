@@ -395,6 +395,179 @@ func TestSnapshotDeleteKeepsChainUntilUnused(t *testing.T) {
 	}
 }
 
+// TestRollingSnapshotsFitPool keeps the newest two of an endless series
+// of snapshots, overwriting half the volume between snapshots. Deleting
+// the older snapshot folds its layer into the next one, so the pool holds
+// at most the live map and two frozen layers and a pool of four times the
+// logical size never runs out.
+func TestRollingSnapshotsFitPool(t *testing.T) {
+	const exts = 32
+	m := testMgr(t, 4*exts)
+	eb := 16 * protocol.BlockSize
+	v, _ := m.Create("v0", exts*16)
+	rng := rand.New(rand.NewSource(3))
+	model := make([]byte, exts*eb)
+	var kept []uint64
+	images := map[uint64][]byte{}
+	for round := 0; round < 400; round++ {
+		for _, e := range rng.Perm(exts)[:exts/2] {
+			data := pat(byte(round+e), eb)
+			if err := v.WriteAt(data, int64(e*eb)); err != nil {
+				t.Fatalf("round %d: write extent %d: %v (allocated %d of %d)",
+					round, e, err, m.Pool().Allocated(), m.Pool().Total())
+			}
+			copy(model[e*eb:], data)
+		}
+		gen, err := m.Snapshot("v0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[gen] = append([]byte(nil), model...)
+		kept = append(kept, gen)
+		for len(kept) > 2 {
+			if _, err := m.Delete("v0", kept[0]); err != nil {
+				t.Fatal(err)
+			}
+			delete(images, kept[0])
+			kept = kept[1:]
+		}
+		if a := m.Pool().Allocated(); a > 3*exts {
+			t.Fatalf("round %d: %d extents allocated, want at most %d", round, a, 3*exts)
+		}
+	}
+	got := make([]byte, len(model))
+	for gen, want := range images {
+		if err := v.ReadAtGen(got, 0, gen); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("snapshot %d no longer reads its image", gen)
+		}
+	}
+	if err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("live image differs from the model (err %v)", err)
+	}
+}
+
+// TestDiffRestoreAcrossFoldedLayer deletes the middle of three snapshots,
+// which folds it into the newest, and checks that the diff between the
+// two survivors is unchanged and still turns the older image into the
+// newer one, trims included.
+func TestDiffRestoreAcrossFoldedLayer(t *testing.T) {
+	const exts = 16
+	m := testMgr(t, 8*exts)
+	eb := 16 * protocol.BlockSize
+	v, _ := m.Create("v0", exts*16)
+	write := func(seed byte, extents ...int) {
+		for _, e := range extents {
+			if err := v.WriteAt(pat(seed+byte(e), eb), int64(e*eb)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	image := func(gen uint64) []byte {
+		b := make([]byte, exts*eb)
+		if err := v.ReadAtGen(b, 0, gen); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	write(1, 0, 1, 2, 3, 4, 5)
+	g1, _ := m.Snapshot("v0")
+	write(2, 2, 3, 4, 9, 10)
+	v.Trim(int64(5*eb), int64(eb)) // a hole over a g1 extent
+	g2, _ := m.Snapshot("v0")
+	write(3, 3, 4, 10, 12)
+	g3, _ := m.Snapshot("v0")
+	write(4, 0, 13) // live writes after the newest snapshot
+
+	img1, img3 := image(g1), image(g3)
+	diff, err := v.Diff(g1, g3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Pool().Allocated()
+	freed, err := m.Delete("v0", g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// g3 shadows g2's extents 3, 4 and 10.
+	if freed != 3 || m.Pool().Allocated() != before-3 {
+		t.Fatalf("deleting the folded snapshot freed %d (allocated %d -> %d), want 3",
+			freed, before, m.Pool().Allocated())
+	}
+	after, err := v.Diff(g1, g3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalU32(after, diff) {
+		t.Fatalf("Diff(%d,%d) = %v after the fold, %v before", g1, g3, after, diff)
+	}
+	if !bytes.Equal(image(g1), img1) || !bytes.Equal(image(g3), img3) {
+		t.Fatal("a surviving snapshot's image changed across the fold")
+	}
+	// Restore: apply the diff's extents, read as of g3, to the g1 image.
+	restored := append([]byte(nil), img1...)
+	for _, e := range after {
+		if err := v.ReadAtGen(restored[int(e)*eb:int(e+1)*eb], int64(int(e)*eb), g3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(restored, img3) {
+		t.Fatal("diff restore across the folded layer does not reproduce the newer snapshot")
+	}
+}
+
+// TestFoldUnderCloneReaders folds a layer that a clone's chain passes
+// through while the clone is being read, for the race detector, then
+// checks the clone still reads its snapshot's image.
+func TestFoldUnderCloneReaders(t *testing.T) {
+	m := testMgr(t, 64)
+	eb := 16 * protocol.BlockSize
+	v, _ := m.Create("v0", 8*16)
+	for i := 0; i < 3; i++ {
+		if err := v.WriteAt(pat(byte(10*i), 4*eb), int64(i*eb)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Snapshot("v0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := v.Snapshots()
+	c, err := m.Clone("v0", gens[2], "c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 8*eb)
+	if err := c.ReadAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		got := make([]byte, len(want))
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := c.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+				done <- fmt.Errorf("clone read changed during the fold (err %v)", err)
+				return
+			}
+		}
+	}()
+	if _, err := m.Delete("v0", gens[1]); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTranslate(t *testing.T) {
 	m := testMgr(t, 64)
 	v, _ := m.Create("v0", 1024)
