@@ -830,7 +830,7 @@ func (m *Manager) Delete(name string, gen uint64) (int, error) {
 		// chain child. Below the chain head that child is a frozen layer,
 		// and the deleted layer folds into it.
 		if l.refs == 2 {
-			if child := m.chainChild(v, l); child != nil {
+			if child := v.chainChild(l); child != nil {
 				return m.foldLayer(l, child), nil
 			}
 		}
@@ -864,8 +864,8 @@ func (m *Manager) Delete(name string, gen uint64) (int, error) {
 
 // chainChild returns the frozen layer of v's chain whose parent is l, or
 // nil when l is v's chain head (its child is v's live map). Caller holds
-// m.mu, under which chain links change.
-func (m *Manager) chainChild(v *Volume, l *layer) *layer {
+// the Manager's lock, under which chain links change.
+func (v *Volume) chainChild(l *layer) *layer {
 	for c := v.parent; c != nil; c = c.parent {
 		if c.parent == l {
 			return c
@@ -878,9 +878,8 @@ func (m *Manager) chainChild(v *Volume, l *layer) *layer {
 // of the chain. Entries of l that c shadows, Holes included, are dropped
 // and their extents return to the pool; the rest move into c. A read
 // through c, and a Diff over any window holding both generations or
-// neither, sees what it saw before. Every volume whose
-// chain reaches c is locked while c changes. Returns the extents freed.
-// Caller holds m.mu.
+// neither, sees what it saw before. Every volume whose chain reaches c is
+// locked while c changes. Returns the extents freed. Caller holds m.mu.
 func (m *Manager) foldLayer(l, c *layer) int {
 	var readers []*Volume
 	for _, w := range m.vols {
