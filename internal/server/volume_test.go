@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,6 +303,51 @@ func TestVolRestoreStream(t *testing.T) {
 		if b != 0 {
 			t.Fatal("restored image has non-zero bytes outside the written range")
 		}
+	}
+}
+
+// TestVolRestoreAbortsOnDeletedSnapshot deletes the snapshot being
+// streamed after its first chunk. The snapshot sits below the chain head,
+// so its layer folds into the next one; the stream must abort rather than
+// finish with the rest of the image read from the folded chain.
+func TestVolRestoreAbortsOnDeletedSnapshot(t *testing.T) {
+	srv, cl := startVolServer(t, nil)
+	vh, err := cl.VolCreate("src", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cl.OpenVolume(beWritable(), vh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 1<<20) // several stream chunks
+	for i := range data {
+		data[i] = byte(i*5 + 1)
+	}
+	if err := cl.Write(h, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := cl.VolSnapshot("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.VolSnapshot("src"); err != nil {
+		t.Fatal(err)
+	}
+	chunks := 0
+	_, err = client.VolRestore(srv.Addr(), "src", 0, gen, func(off int64, p []byte) error {
+		if chunks++; chunks == 1 {
+			if _, err := cl.VolDelete("src", gen); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(p, data[off:off+int64(len(p))]) {
+			return fmt.Errorf("chunk at %d does not match snapshot %d", off, gen)
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "aborted by source") {
+		t.Fatalf("restore of a snapshot deleted mid-stream = %v after %d chunks, want a source abort", err, chunks)
 	}
 }
 

@@ -20,9 +20,11 @@
 //   - A clone is a writable volume whose chain starts at a snapshot
 //     layer. Chain layers are reference-counted; an extent is owned by
 //     exactly one map (the live map or one frozen layer) and is returned
-//     to the pool when its owner dies. Deleting a snapshot below the
-//     chain head that no clone uses folds its layer into the next one,
-//     so rolling snapshots free the extents the newer layer overwrote.
+//     to the pool when its owner dies. Deleting a snapshot that no clone
+//     uses folds its layer into the next one (at once below the chain
+//     head, at the next snapshot for the head), so rolling snapshots
+//     free the extents the newer layer overwrote. A deleted generation
+//     no longer reads or diffs.
 //   - Diff(genA, genB] enumerates the logical extents written between two
 //     generations — the layer chain makes this a walk of the layers in
 //     that window — feeding the OpVolStream incremental backup stream.
@@ -178,6 +180,11 @@ type Volume struct {
 	gen    uint64
 	snaps  map[uint64]*layer
 	dead   bool
+
+	// base is the snapshot generation a clone was cut from (0 for a
+	// volume made by Create). It stays readable: the clone's reference
+	// keeps its layer in place.
+	base uint64
 }
 
 // Name, Handle, Blocks, LogicalBytes, Gen — cheap accessors.
@@ -235,6 +242,19 @@ func (v *Volume) lookupGenLocked(lext uint32, gen uint64) (uint32, bool) {
 	return 0, false
 }
 
+// genGoneLocked reports whether gen names a frozen generation that is no
+// longer registered: a deleted snapshot, or a generation inherited from
+// a clone's source below its base. A deleted snapshot's layer may have
+// been folded into the next one, so reads or diffs at it would silently
+// return a different image. Caller holds v.mu.
+func (v *Volume) genGoneLocked(gen uint64) bool {
+	if gen >= v.gen || gen == v.base {
+		return false
+	}
+	_, ok := v.snaps[gen]
+	return !ok
+}
+
 // zeroChunk backs hole reads (thin-provisioned space reads as zeros).
 var zeroChunk [4096]byte
 
@@ -280,6 +300,8 @@ func (v *Volume) ReadAt(p []byte, off int64) error {
 
 // ReadAtGen reads the volume as of generation gen (a frozen snapshot, or
 // the current generation for the live image) — the diff stream's source.
+// A generation whose snapshot was deleted fails with ErrNotFound, so a
+// stream of it aborts instead of shipping a mix of two images.
 func (v *Volume) ReadAtGen(p []byte, off int64, gen uint64) error {
 	return v.readAt(p, off, gen)
 }
@@ -293,6 +315,9 @@ func (v *Volume) readAt(p []byte, off int64, gen uint64) error {
 	defer v.mu.RUnlock()
 	if v.dead {
 		return ErrDead
+	}
+	if v.genGoneLocked(gen) {
+		return ErrNotFound
 	}
 	for len(p) > 0 {
 		lext := uint32(off / eb)
@@ -461,7 +486,8 @@ func (v *Volume) chainHasLocked(lext uint32) (uint32, bool) {
 // genB], sorted ascending — the incremental backup set between two
 // snapshots (genB may be the current generation to include live writes).
 // genA == 0 diffs from the volume's birth: every extent allocated by
-// generation genB.
+// generation genB. A deleted snapshot's generation at either end fails
+// with ErrNotFound.
 func (v *Volume) Diff(genA, genB uint64) ([]uint32, error) {
 	if genB < genA {
 		return nil, fmt.Errorf("volume: diff generations inverted (%d > %d)", genA, genB)
@@ -473,6 +499,9 @@ func (v *Volume) Diff(genA, genB uint64) ([]uint32, error) {
 	}
 	if genB > v.gen {
 		return nil, fmt.Errorf("volume: generation %d not reached (current %d)", genB, v.gen)
+	}
+	if (genA != 0 && v.genGoneLocked(genA)) || v.genGoneLocked(genB) {
+		return nil, ErrNotFound
 	}
 	set := make(map[uint32]struct{})
 	if v.gen > genA && v.gen <= genB {
@@ -732,7 +761,9 @@ func (m *Manager) List() []Info {
 }
 
 // Snapshot freezes the volume's live map under its current generation and
-// returns that generation. O(1): no extent is copied or even touched.
+// returns that generation. O(1) unless the old chain head is a deleted
+// snapshot nothing else references: it then folds into the new layer,
+// which frees the extents the new layer overwrote.
 func (m *Manager) Snapshot(name string) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -750,6 +781,12 @@ func (m *Manager) Snapshot(name string) (uint64, error) {
 		parent: v.parent,
 		ents:   v.live,
 		refs:   2, // chain child (the volume) + the snapshot registry
+	}
+	// A clone's base layer stays whole so the base generation reads.
+	if old := v.parent; old != nil && old.refs == 1 && old.gen != v.base {
+		// Only v's live map, now l, held the old head: no other volume
+		// reads through either layer, and v.mu is held.
+		m.mergeLayer(old, l)
 	}
 	v.parent = l
 	v.live = make(map[uint32]uint32)
@@ -796,6 +833,7 @@ func (m *Manager) Clone(src string, gen uint64, name string) (*Volume, error) {
 		parent: l,
 		gen:    gen + 1,
 		snaps:  make(map[uint64]*layer),
+		base:   gen,
 	}
 	m.vols[name] = v
 	m.handles[h] = v
@@ -808,7 +846,8 @@ func (m *Manager) Clone(src string, gen uint64, name string) (*Volume, error) {
 // its extents until the clone dies too, and the chain head's extents
 // stay with it while the live map reads through it. A deleted snapshot
 // below the head folds into the next snapshot's layer, freeing the
-// extents that layer shadows. Returns the number of extents freed.
+// extents that layer shadows; a deleted head folds the same way at the
+// next Snapshot. Returns the number of extents freed.
 func (m *Manager) Delete(name string, gen uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -893,6 +932,16 @@ func (m *Manager) foldLayer(l, c *layer) int {
 	for _, w := range readers {
 		w.mu.Lock()
 	}
+	freed := m.mergeLayer(l, c)
+	for _, w := range readers {
+		w.mu.Unlock()
+	}
+	return freed
+}
+
+// mergeLayer is foldLayer's splice for a caller that already excludes
+// every reader of l and c.
+func (m *Manager) mergeLayer(l, c *layer) int {
 	freed := 0
 	for lext, e := range l.ents {
 		if _, shadowed := c.ents[lext]; shadowed {
@@ -906,9 +955,6 @@ func (m *Manager) foldLayer(l, c *layer) int {
 	}
 	c.parent = l.parent // c inherits l's reference on its parent
 	l.ents, l.parent, l.refs = nil, nil, 0
-	for _, w := range readers {
-		w.mu.Unlock()
-	}
 	return freed
 }
 

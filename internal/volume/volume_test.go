@@ -2,6 +2,7 @@ package volume
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -395,18 +396,27 @@ func TestSnapshotDeleteKeepsChainUntilUnused(t *testing.T) {
 	}
 }
 
-// TestRollingSnapshotsFitPool keeps the newest two of an endless series
-// of snapshots, overwriting half the volume between snapshots. Deleting
-// the older snapshot folds its layer into the next one, so the pool holds
-// at most the live map and two frozen layers and a pool of four times the
-// logical size never runs out.
+// TestRollingSnapshotsFitPool keeps the newest keep of an endless series
+// of snapshots, overwriting half the volume between snapshots. A deleted
+// snapshot below the chain head folds into the next layer at once; with
+// keep 0 each snapshot is read back (as a stream would) and deleted while
+// it is the head, and folds into the next snapshot's layer. Either way the
+// pool holds at most the live map and keep frozen layers, and a pool of
+// four times the logical size never runs out.
 func TestRollingSnapshotsFitPool(t *testing.T) {
+	for keep := 0; keep <= 2; keep++ {
+		t.Run(fmt.Sprintf("keep%d", keep), func(t *testing.T) { rollingSnapshots(t, keep) })
+	}
+}
+
+func rollingSnapshots(t *testing.T, keep int) {
 	const exts = 32
 	m := testMgr(t, 4*exts)
 	eb := 16 * protocol.BlockSize
 	v, _ := m.Create("v0", exts*16)
 	rng := rand.New(rand.NewSource(3))
 	model := make([]byte, exts*eb)
+	got := make([]byte, len(model))
 	var kept []uint64
 	images := map[uint64][]byte{}
 	for round := 0; round < 400; round++ {
@@ -422,20 +432,22 @@ func TestRollingSnapshotsFitPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := v.ReadAtGen(got, 0, gen); err != nil || !bytes.Equal(got, model) {
+			t.Fatalf("round %d: snapshot %d does not read its image (err %v)", round, gen, err)
+		}
 		images[gen] = append([]byte(nil), model...)
 		kept = append(kept, gen)
-		for len(kept) > 2 {
+		for len(kept) > keep {
 			if _, err := m.Delete("v0", kept[0]); err != nil {
 				t.Fatal(err)
 			}
 			delete(images, kept[0])
 			kept = kept[1:]
 		}
-		if a := m.Pool().Allocated(); a > 3*exts {
-			t.Fatalf("round %d: %d extents allocated, want at most %d", round, a, 3*exts)
+		if a, max := m.Pool().Allocated(), uint32(keep+1)*exts; a > max {
+			t.Fatalf("round %d: %d extents allocated, want at most %d", round, a, max)
 		}
 	}
-	got := make([]byte, len(model))
 	for gen, want := range images {
 		if err := v.ReadAtGen(got, 0, gen); err != nil {
 			t.Fatal(err)
@@ -446,6 +458,91 @@ func TestRollingSnapshotsFitPool(t *testing.T) {
 	}
 	if err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, model) {
 		t.Fatalf("live image differs from the model (err %v)", err)
+	}
+}
+
+// TestDeletedGenerationFails deletes a snapshot between the Diff that
+// plans a stream of it and the reads that ship it. Its layer folds into
+// the next one, so the reads must fail rather than return the older
+// image. A clone's base generation still reads after the source deletes
+// that snapshot.
+func TestDeletedGenerationFails(t *testing.T) {
+	const exts = 8
+	m := testMgr(t, 8*exts)
+	eb := 16 * protocol.BlockSize
+	v, _ := m.Create("v0", exts*16)
+	for i := 0; i < 3; i++ {
+		if err := v.WriteAt(pat(byte(10*i+1), 4*eb), int64(i*eb)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Snapshot("v0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens := v.Snapshots()
+	g1, g2, g3 := gens[0], gens[1], gens[2]
+	c, err := m.Clone("v0", g2, "c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img2 := make([]byte, exts*eb)
+	if err := v.ReadAtGen(img2, 0, g2); err != nil {
+		t.Fatal(err)
+	}
+	planned, err := v.Diff(g1, g2)
+	if err != nil || len(planned) == 0 {
+		t.Fatalf("Diff(%d,%d) = %v, %v", g1, g2, planned, err)
+	}
+
+	// The clone pins g2's layer, so deleting g2 cannot fold it; g1 is
+	// referenced only by g2's layer and folds into it.
+	if _, err := m.Delete("v0", g2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Delete("v0", g1); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, eb)
+	for _, e := range planned {
+		if err := v.ReadAtGen(buf, int64(e)*int64(eb), g2); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("ReadAtGen(extent %d, deleted gen %d) = %v, want ErrNotFound", e, g2, err)
+		}
+	}
+	if err := v.ReadAtGen(buf, 0, g1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadAtGen(folded gen %d) = %v, want ErrNotFound", g1, err)
+	}
+	for _, w := range [][2]uint64{{g1, g3}, {g2, g3}, {0, g2}} {
+		if _, err := v.Diff(w[0], w[1]); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Diff(%d,%d) over a deleted generation = %v, want ErrNotFound", w[0], w[1], err)
+		}
+	}
+	if _, err := v.Diff(0, g3); err != nil {
+		t.Fatalf("Diff(0,%d): %v", g3, err)
+	}
+
+	got := make([]byte, exts*eb)
+	if err := c.ReadAtGen(got, 0, g2); err != nil || !bytes.Equal(got, img2) {
+		t.Fatalf("clone's base generation %d no longer reads its image (err %v)", g2, err)
+	}
+	if err := c.ReadAtGen(got, 0, g1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("clone read at its source's generation %d = %v, want ErrNotFound", g1, err)
+	}
+	if _, err := c.Diff(g2, c.Gen()); err != nil {
+		t.Fatalf("clone Diff from its base: %v", err)
+	}
+	// With the source gone the clone holds the base layer's only
+	// reference; the clone's next snapshot must not fold it.
+	if _, err := m.Delete("v0", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteAt(pat(99, eb), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Snapshot("c0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadAtGen(got, 0, g2); err != nil || !bytes.Equal(got, img2) {
+		t.Fatalf("clone's base generation %d changed after the clone's snapshot (err %v)", g2, err)
 	}
 }
 
